@@ -84,6 +84,8 @@ def _frames_per_second(protocol: str, workload: dict,
         macro_frames=macro_frames,
     )
     engine = UplinkSimulationEngine(scenario, PARAMS)
+    if macro_frames == 1:  # per-frame stepping, as the record measured it
+        engine.MACRO_BLOCK_FRAMES = 1
     start = time.process_time()
     engine.run()
     return engine.frame_index / (time.process_time() - start)

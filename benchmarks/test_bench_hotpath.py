@@ -47,9 +47,15 @@ Sections beyond the PR 3 record (``macro``/``dispatches`` added in PR 5):
   over several seeds per configuration, which averages the realisation
   difference out.
 * ``phase_split`` — the engine's own per-phase timers (traffic / channel /
-  MAC / PHY / metrics fractions per protocol, parity mode), so the next
-  bottleneck is machine-readable; ``python -m repro profile --json``
-  reports the same split for arbitrary scenarios.
+  MAC / PHY / metrics fractions per protocol, parity mode, per-frame
+  stepping), so the next bottleneck is machine-readable;
+  ``python -m repro profile --json`` reports the same split for arbitrary
+  scenarios.
+
+Parity-mode runs block-step by default, so ``_build_engine`` pins
+``MACRO_BLOCK_FRAMES = 1`` for ``macro_frames=1``: every per-frame leg here
+(``_run_timed``, the columnar side of the dispatch comparison, the phase
+split) keeps stepping frame by frame.
 
 ``vs_pr3`` compares this tree's columnar fps against the most recent
 PR 3-era record found in the file's history (entries without a
@@ -118,13 +124,20 @@ def _build_engine(protocol: str, backend: str, rng_mode: str, seed: int,
         rng_mode=rng_mode,
         macro_frames=macro_frames,
     )
-    return UplinkSimulationEngine(scenario, PARAMS, use_batch_mac=use_batch_mac)
+    engine = UplinkSimulationEngine(scenario, PARAMS, use_batch_mac=use_batch_mac)
+    if macro_frames == 1:
+        engine.MACRO_BLOCK_FRAMES = 1  # per-frame stepping in parity mode too
+    return engine
 
 
 def _run_timed(protocol: str, backend: str, rng_mode: str = "parity",
                seed: int = SEED, use_batch_mac=None,
                macro_frames: int = 1) -> tuple:
-    """Run once; return (frames, cpu_seconds)."""
+    """Run once; return (frames, cpu_seconds).
+
+    ``macro_frames=1`` steps frame by frame in either RNG mode; larger
+    values run the engine's block-stepped default.
+    """
     engine = _build_engine(protocol, backend, rng_mode, seed, use_batch_mac,
                            macro_frames)
     start = time.process_time()
@@ -274,7 +287,8 @@ def measure_mac_kernels() -> dict:
 
 
 def measure_phase_split() -> dict:
-    """Per-protocol traffic/channel/MAC/PHY/metrics fractions (parity mode)."""
+    """Per-protocol traffic/channel/MAC/PHY/metrics fractions (parity mode,
+    per-frame stepping)."""
     split = {}
     for protocol in available_protocols():
         engine = _build_engine(protocol, "columnar", "parity", SEED)

@@ -260,10 +260,13 @@ def _add_scenario_arguments(parser: argparse.ArgumentParser,
                              "fastest for paper-scale sweeps)")
     parser.add_argument("--macro-frames", type=int, default=1,
                         dest="macro_frames", metavar="K",
-                        help="macro-step the columnar frame loop in blocks "
-                             "of K frames (fused multi-frame kernels with "
-                             "reservation lookahead; bit-identical to K=1 "
-                             "in parity mode; try 16 or 64)")
+                        help="fast RNG mode: K=1 steps frame by frame, K>1 "
+                             "macro-steps the columnar frame loop in blocks "
+                             "of K frames (fused multi-frame kernels; try "
+                             "64).  Parity runs always block-step, "
+                             "bit-identically, whatever K.  With "
+                             "--constellation, K is also the coupling "
+                             "interval")
     parser.add_argument("--cache", metavar="DIR", default=None,
                         help="serve finished runs from (and persist new runs "
                              "to) the result store in DIR")
@@ -679,25 +682,32 @@ def _command_lint(args: argparse.Namespace) -> int:
 
 
 def _selftest_backend_parity() -> bool:
-    """Columnar, object and macro-stepped engines must agree exactly."""
+    """Per-frame columnar, object and block-stepped engines must agree."""
+    from repro.sim.engine import UplinkSimulationEngine
     from repro.sim.runner import run_simulation
+
+    def per_frame(scenario: Scenario):
+        engine = UplinkSimulationEngine(scenario)
+        engine.MACRO_BLOCK_FRAMES = 1
+        return engine.run()
 
     for protocol in ("charisma", "dtdma_vr", "rama"):
         base = Scenario(protocol=protocol, n_voice=6, n_data=2,
                         use_request_queue=True, duration_s=0.4, warmup_s=0.2,
                         seed=11)
         results = {
-            backend: run_simulation(base.with_overrides(engine_backend=backend))
+            backend: per_frame(base.with_overrides(engine_backend=backend))
             for backend in ("columnar", "object")
         }
         if results["columnar"].summary() != results["object"].summary():
             print(f"  MISMATCH: engine backends disagree for {protocol}")
             return False
-        macro = run_simulation(base.with_overrides(macro_frames=16))
+        macro = run_simulation(base)
         if macro.summary() != results["columnar"].summary():
-            print(f"  MISMATCH: macro-stepped engine disagrees for {protocol}")
+            print(f"  MISMATCH: block-stepped engine disagrees for {protocol}")
             return False
-    print("  engine backends    columnar == object == macro-16 for 3 protocols")
+    print("  engine backends    columnar == object == block-stepped "
+          "for 3 protocols")
     return True
 
 

@@ -41,6 +41,11 @@ protocols.  ``rng_mode="fast"`` lets the columnar backend batch whole-frame
 draws from per-subsystem child streams instead — statistically equivalent,
 not bit-identical (see :class:`~repro.sim.scenario.Scenario`).
 
+:meth:`UplinkSimulationEngine.run` (through :meth:`run_frames`) executes
+the columnar batch-MAC path in macro blocks (:mod:`repro.sim.macro`):
+always in parity mode, where blocks are bit-identical to per-frame
+:meth:`step` calls, and in fast mode when ``Scenario.macro_frames > 1``.
+
 Terminal ids must be dense (``terminal_id == population index``): both the
 :class:`~repro.channel.manager.ChannelSnapshot` row lookup and the columnar
 kernels index arrays by id.  The engine validates this at construction and
@@ -209,6 +214,10 @@ class UplinkSimulationEngine:
 
     #: Frames advanced per batched channel evaluation on the columnar backend.
     CHANNEL_BLOCK_FRAMES = 64
+    #: Frames per macro block of a parity-mode run.  A tuning constant, not
+    #: a result-affecting setting: parity-mode block stepping is
+    #: bit-identical to per-frame stepping for every block size.
+    MACRO_BLOCK_FRAMES = 64
 
     # ------------------------------------------------------------------ API
     @property
@@ -351,13 +360,16 @@ class UplinkSimulationEngine:
         return outcome
 
     def run_frames(self, n_frames: int) -> None:
-        """Advance ``n_frames`` frames, macro-stepped when configured.
+        """Advance ``n_frames`` frames, block-stepped where applicable.
 
-        With ``Scenario.macro_frames > 1`` on the columnar backend (batch
-        MAC path), frames execute in macro blocks through
-        :class:`~repro.sim.macro.MacroRunner` — bit-identical to per-frame
-        stepping in parity RNG mode.  Otherwise this is a plain
-        :meth:`step` loop.
+        On the columnar backend's batch-MAC path, frames execute in macro
+        blocks through :class:`~repro.sim.macro.MacroRunner`.  In
+        ``rng_mode="parity"`` the block size is :attr:`MACRO_BLOCK_FRAMES`
+        and the results are bit-identical to per-frame :meth:`step` calls,
+        so a single-frame call (a constellation coupled every frame) just
+        steps.  In ``rng_mode="fast"`` the block size is
+        ``Scenario.macro_frames``.  A block size of ``1``, or any other
+        path, is a plain :meth:`step` loop.
         """
         if n_frames <= 0:
             return
@@ -368,12 +380,15 @@ class UplinkSimulationEngine:
             self._ensure_instrumented()
         elif self._clock is not None:
             self._clock = None
-        runner = self._macro_runner()
+        if self.rng_mode == "parity":
+            block_size = self.MACRO_BLOCK_FRAMES if n_frames > 1 else 1
+        else:
+            block_size = self.scenario.macro_frames
+        runner = self._macro_runner() if block_size > 1 else None
         if runner is None:
             for _ in range(n_frames):
                 self.step()
             return
-        block_size = self.scenario.macro_frames
         remaining = n_frames
         while remaining > 0:
             block = block_size if block_size < remaining else remaining
@@ -382,11 +397,7 @@ class UplinkSimulationEngine:
 
     def _macro_runner(self):
         """The lazily built macro runner, or ``None`` when not applicable."""
-        if (
-            self.scenario.macro_frames <= 1
-            or self.population is None
-            or not self._use_batch_mac
-        ):
+        if self.population is None or not self._use_batch_mac:
             return None
         if self._macro is None:
             from repro.sim.macro import MacroRunner

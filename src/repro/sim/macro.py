@@ -4,8 +4,12 @@ The per-frame columnar engine pays a fixed dispatch floor of ~25 small
 NumPy kernel calls per 2.5 ms frame — traffic advance, channel snapshot,
 candidate masks, contention draws, grant gathers, a PHY batch and metrics
 bookkeeping.  :class:`MacroRunner` advances the simulation in blocks of
-``Scenario.macro_frames`` frames instead, with O(1) dispatches per block
-for the predictable work:
+frames instead — :attr:`UplinkSimulationEngine.MACRO_BLOCK_FRAMES
+<repro.sim.engine.UplinkSimulationEngine.MACRO_BLOCK_FRAMES>` in
+``rng_mode="parity"``, where every run block-steps, and
+``Scenario.macro_frames`` in ``rng_mode="fast"``, where ``1`` keeps
+per-frame stepping — with O(1) dispatches per block for the predictable
+work:
 
 * **traffic** — :meth:`~repro.traffic.population.TerminalPopulation.plan_frames`
   pre-draws the whole block's source events in per-frame order and each
@@ -32,12 +36,16 @@ frame), DRMA/RAMA frames with live contenders — falls back to the
 protocol's own ``run_frame_batch`` after flushing all deferred state, so
 the surrounding frames still enjoy the fused traffic/channel/metrics path.
 In ``rng_mode="parity"`` the whole construction is **bit-identical** to
-``macro_frames=1``; ``tests/sim/test_backend_parity.py`` sweeps
-``macro_frames`` in {1, 4, 16, 64} over all six protocols to prove it.
+per-frame :meth:`~repro.sim.engine.UplinkSimulationEngine.step` calls;
+``tests/sim/test_backend_parity.py`` sweeps block sizes {4, 16, 64} over
+all six protocols against per-frame stepping to prove it, and
+``tests/sim/test_golden_digests.py`` pins the default path to digests
+recorded from per-frame runs.
 """
 
 from __future__ import annotations
 
+import weakref
 from bisect import bisect_left, insort
 from typing import List, Optional
 
@@ -144,7 +152,10 @@ class MacroRunner:
     """Executes the engine's frame loop in macro blocks (see module doc)."""
 
     def __init__(self, engine) -> None:
-        self.engine = engine
+        # A weak reference: the engine owns its runner, so a strong one
+        # back would keep every finished engine (population, channel,
+        # snapshot buffers, pools) alive until the cyclic GC runs.
+        self._engine_ref = weakref.ref(engine)
         self.population = engine.population
         self.protocol = engine.protocol
         self.collector = engine.collector
@@ -243,7 +254,7 @@ class MacroRunner:
 
     def run_block(self, n_frames: int) -> None:
         """Advance ``n_frames`` frames as one macro block."""
-        engine = self.engine
+        engine = self._engine_ref()
         population = self.population
         clock = engine._clock
         start = engine._frame_index
@@ -1083,7 +1094,7 @@ class MacroRunner:
     # ------------------------------------------------------- fallback frame
     def _fallback_frame(self, frame, snapshot, drops, clock) -> None:
         """One frame through the protocol's own kernel, streams realigned."""
-        engine = self.engine
+        engine = self._engine_ref()
         population = self.population
         self._pool.close()
         if self._csi_pool is not None:

@@ -55,19 +55,24 @@ class Scenario:
         bit-identical, which is the right trade for paper-scale sweeps.
         Ignored by the object backend.
     macro_frames:
-        Macro-stepping block size of the columnar backend's frame loop.
-        ``1`` (default) advances frame by frame; larger values let the
-        engine execute blocks of up to this many frames with fused
+        Macro-stepping block size of the columnar backend's frame loop in
+        ``rng_mode="fast"``: ``1`` (default) advances frame by frame;
+        larger values execute blocks of up to this many frames with fused
         multi-frame kernels — the traffic plan is drawn for the whole block
         up front, contention draws are served from a pre-drawn pool with
         exact roll-back/replay at the first state-changing event, and
         voice-reservation PHY outcomes are resolved in one batched draw per
-        block.  Because every per-subsystem random stream is consumed in
-        exactly the per-frame order, results are **bit-identical** to
-        ``macro_frames=1`` in ``rng_mode="parity"`` (asserted by
-        ``tests/sim/test_backend_parity.py`` for ``macro_frames`` in
-        {1, 4, 16, 64}).  Ignored by the object backend and by the
-        view-walking MAC path.
+        block.  Fast-mode results differ between ``1`` and ``> 1``
+        (statistically equivalent samples) but not between block sizes
+        above 1.  In ``rng_mode="parity"`` the field does not change how a
+        run executes: parity runs always block-step, in blocks of the
+        engine constant ``UplinkSimulationEngine.MACRO_BLOCK_FRAMES``, and
+        stay **bit-identical** to per-frame stepping (asserted by
+        ``tests/sim/test_backend_parity.py`` and the golden digests of
+        ``tests/sim/test_golden_digests.py``).  The field stays part of
+        the scenario, and so of every result payload and digest.  A
+        constellation also uses it as its coupling interval.  Ignored by
+        the object backend and by the view-walking MAC path.
     """
 
     protocol: str

@@ -1,7 +1,9 @@
 """Engine instrumentation: parity, span structure, phase-split equivalence.
 
 Parity assertions compare ``(voice, data, mac)`` — the embedded ``scenario``
-legitimately differs across ``macro_frames`` configurations.
+legitimately differs across ``macro_frames`` configurations.  Parity runs
+block-step by default, so ``_run`` sets the engine's block size from
+``macro_frames``: the ``1`` legs step frame by frame.
 """
 
 import pytest
@@ -10,6 +12,7 @@ from repro.obs import metrics
 from repro.obs.trace import PHASES, ListTraceSink, install_tracer, uninstall_tracer
 from repro.sim.runner import run_simulation
 from repro.sim.scenario import Scenario
+from tests.utils import blocked_engine
 
 
 def _scenario(**overrides):
@@ -17,6 +20,10 @@ def _scenario(**overrides):
                 duration_s=0.4, warmup_s=0.2, seed=13)
     base.update(overrides)
     return Scenario(**base)
+
+
+def _run(scenario):
+    return blocked_engine(scenario, scenario.macro_frames).run()
 
 
 def _metrics_of(result):
@@ -35,11 +42,11 @@ class TestTracedParity:
     @pytest.mark.parametrize("macro_frames", [1, 16])
     def test_tracing_is_bit_identical(self, macro_frames):
         scenario = _scenario(macro_frames=macro_frames)
-        plain = run_simulation(scenario)
+        plain = _run(scenario)
         sink = ListTraceSink()
         install_tracer(sink)
         try:
-            traced = run_simulation(scenario)
+            traced = _run(scenario)
         finally:
             uninstall_tracer()
         assert _metrics_of(traced) == _metrics_of(plain)
@@ -70,7 +77,7 @@ class TestTracedParity:
 class TestSpanStructure:
     @pytest.mark.parametrize("macro_frames", [1, 16])
     def test_phase_spans_nest_under_engine_run(self, sink, macro_frames):
-        run_simulation(_scenario(macro_frames=macro_frames))
+        _run(_scenario(macro_frames=macro_frames))
         spans = [r for r in sink.records if r.get("record") == "span"]
         by_name = {}
         for record in spans:
@@ -85,7 +92,7 @@ class TestSpanStructure:
                 assert record["parent"] == engine_run["id"]
 
     def test_phase_spans_follow_engine_phase_order(self, sink):
-        run_simulation(_scenario(macro_frames=1))
+        _run(_scenario(macro_frames=1))
         # Reconstruct start order (file order is completion order).
         phase_starts = sorted(
             (r["start_s"], r["name"])

@@ -6,6 +6,10 @@ equivalents), so the two backends are required to produce **identical**
 ``SimulationResult`` values under a common seed — not merely statistically
 equivalent ones.  Every protocol, both queue variants, and several seeds are
 exercised.
+
+Parity-mode runs block-step by default, so the per-frame legs here drive
+``engine.step()`` through a block size of 1 and every block size is set on
+the engine (``blocked_engine``).
 """
 
 import pytest
@@ -15,15 +19,17 @@ from repro.mac.registry import available_protocols
 from repro.sim.engine import UplinkSimulationEngine
 from repro.sim.runner import run_simulation
 from repro.sim.scenario import Scenario
+from tests.utils import blocked_engine
 
 PARAMS = SimulationParameters()
 
 
 def run_pair(**kwargs):
+    """Object and columnar backends, both stepped frame by frame."""
     results = {}
     for backend in ("object", "columnar"):
         scenario = Scenario(engine_backend=backend, **kwargs)
-        results[backend] = run_simulation(scenario, PARAMS)
+        results[backend] = blocked_engine(scenario, 1).run()
     return results["object"], results["columnar"]
 
 
@@ -100,23 +106,23 @@ class TestMacroStepParity:
     The macro engine re-partitions every random stream's draws (traffic
     plans, contention pools, deferred PHY batches) without re-ordering any
     stream, so in parity mode the results — and the object backend's —
-    must match exactly for every block size.
+    must match exactly for every block size, the default one included.
     """
 
     @pytest.mark.parametrize("protocol", available_protocols())
     def test_macro_block_sizes_bit_identical(self, protocol):
-        base = dict(
+        scenario = Scenario(
             protocol=protocol, n_voice=12, n_data=3,
             use_request_queue=(protocol != "rmav"),
             duration_s=0.6, warmup_s=0.2, seed=7,
         )
-        reference = run_simulation(Scenario(**base), PARAMS)
-        for macro_frames in (4, 16, 64):
-            result = run_simulation(
-                Scenario(**base, macro_frames=macro_frames), PARAMS
-            )
+        reference = blocked_engine(scenario, 1).run()
+        default = run_simulation(scenario, PARAMS)
+        assert default.summary() == reference.summary(), protocol
+        for block_frames in (4, 16):
+            result = blocked_engine(scenario, block_frames).run()
             assert result.summary() == reference.summary(), (
-                protocol, macro_frames,
+                protocol, block_frames,
             )
 
     @pytest.mark.parametrize("protocol", ("rmav", "dtdma_vr", "drma"))
@@ -129,7 +135,7 @@ class TestMacroStepParity:
         obj = run_simulation(
             Scenario(**base, engine_backend="object"), PARAMS
         )
-        macro = run_simulation(Scenario(**base, macro_frames=16), PARAMS)
+        macro = blocked_engine(Scenario(**base), 16).run()
         assert obj.summary() == macro.summary()
 
     def test_macro_per_frame_collector_streams_match(self):
@@ -137,13 +143,11 @@ class TestMacroStepParity:
         so every lookahead truncation lands losses in the right frame."""
         base = dict(protocol="dtdma_vr", n_voice=16, n_data=4,
                     duration_s=0.6, warmup_s=0.1, seed=11)
-        engines = {}
-        for macro_frames in (1, 16):
-            engine = UplinkSimulationEngine(
-                Scenario(**base, macro_frames=macro_frames), PARAMS
-            )
-            engine.run()
-            engines[macro_frames] = engine.collector
+        per_frame = blocked_engine(Scenario(**base), 1)
+        per_frame.run()
+        macro = blocked_engine(Scenario(**base), 16)
+        macro.run()
+        engines = {1: per_frame.collector, 16: macro.collector}
         assert (
             engines[1].data_delivered_per_frame
             == engines[16].data_delivered_per_frame

@@ -1,5 +1,8 @@
 """Integration tests of the frame-synchronous engine and the runner."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.config import SimulationParameters
@@ -84,6 +87,38 @@ class TestEngineInvariants:
         fixed = run_simulation(scenario(protocol="dtdma_fr", **kwargs), PARAMS)
         assert charisma.voice.loss_rate <= fixed.voice.loss_rate
         assert charisma.data.mean_delay_s <= fixed.data.mean_delay_s
+
+
+class TestEngineRelease:
+    """A finished engine is freed by reference counting alone.
+
+    The engine owns its macro runner; a strong reference back from the
+    runner would form a cycle that keeps the whole engine (population,
+    channel, snapshot buffers, pools) alive until the cyclic GC runs.
+    """
+
+    @pytest.mark.parametrize("queue", [False, True])
+    @pytest.mark.parametrize("rng_mode,macro_frames",
+                             [("parity", 1), ("fast", 16)])
+    @pytest.mark.parametrize("protocol", available_protocols())
+    def test_engine_dies_without_gc(self, protocol, rng_mode, macro_frames,
+                                    queue):
+        engine = UplinkSimulationEngine(
+            scenario(protocol, queue=queue, duration_s=0.2, warmup_s=0.05,
+                     rng_mode=rng_mode, macro_frames=macro_frames),
+            PARAMS,
+        )
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            engine.run()
+            assert engine._macro is not None  # the runner was built
+            ref = weakref.ref(engine)
+            del engine
+            assert ref() is None
+        finally:
+            if was_enabled:
+                gc.enable()
 
 
 class TestRunner:

@@ -5,6 +5,10 @@ bit-identity across block sizes; this module pins the specific events that
 truncate or re-align a lookahead block — a contention success mid-block, a
 reservation expiring at a block boundary, CHARISMA's per-frame CSI draws —
 plus the roll-back/replay pool and the compiled-kernel seam themselves.
+
+Parity-mode runs always block-step, so every reference here is driven one
+``engine.step()`` per frame through a block size of 1, and every block size
+is set on the engine (``blocked_engine``).
 """
 
 import numpy as np
@@ -14,17 +18,19 @@ from repro.accel import HAS_NUMBA, contention_round_scan, voice_generation_offse
 from repro.config import SimulationParameters
 from repro.sim.engine import UplinkSimulationEngine
 from repro.sim.macro import RandomPool
-from repro.sim.runner import run_simulation
 from repro.sim.scenario import Scenario
+from tests.utils import blocked_engine
 
 PARAMS = SimulationParameters()
 
 
-def _pair(macro_frames, **kwargs):
-    reference = run_simulation(Scenario(**kwargs), PARAMS)
-    macro = run_simulation(
-        Scenario(**kwargs, macro_frames=macro_frames), PARAMS
-    )
+def _per_frame(**kwargs):
+    return blocked_engine(Scenario(**kwargs), 1).run()
+
+
+def _pair(block_frames, **kwargs):
+    reference = _per_frame(**kwargs)
+    macro = blocked_engine(Scenario(**kwargs), block_frames).run()
     return reference, macro
 
 
@@ -38,13 +44,10 @@ class TestLookaheadTruncation:
         """
         base = dict(protocol="dtdma_fr", n_voice=20, n_data=6,
                     duration_s=0.6, warmup_s=0.1, seed=5)
-        engines = {}
-        for macro_frames in (1, 16):
-            engine = UplinkSimulationEngine(
-                Scenario(**base, macro_frames=macro_frames), PARAMS
-            )
-            result = engine.run()
-            engines[macro_frames] = (engine, result)
+        engine = blocked_engine(Scenario(**base), 1)
+        engines = {1: (engine, engine.run())}
+        engine = blocked_engine(Scenario(**base), 16)
+        engines[16] = (engine, engine.run())
         reference = engines[1][1]
         macro = engines[16][1]
         # The workload must actually exercise the truncation path:
@@ -57,14 +60,14 @@ class TestLookaheadTruncation:
             == engines[16][0].collector.voice_loss_events_per_frame
         )
 
-    @pytest.mark.parametrize("macro_frames", (2, 3, 5, 7, 8, 9, 16))
-    def test_reservation_boundaries_across_block_phases(self, macro_frames):
+    @pytest.mark.parametrize("block_frames", (2, 3, 5, 7, 8, 9, 16))
+    def test_reservation_boundaries_across_block_phases(self, block_frames):
         """Talkspurt ends / reservation releases land on every possible
         position relative to block boundaries as the block size varies;
         each must re-align the holder set without drift."""
         base = dict(protocol="rmav", n_voice=14, n_data=0,
                     duration_s=0.5, warmup_s=0.1, seed=2)
-        reference, macro = _pair(macro_frames, **base)
+        reference, macro = _pair(block_frames, **base)
         assert reference.summary() == macro.summary()
 
     def test_charisma_csi_frames_fall_back(self):
@@ -73,13 +76,11 @@ class TestLookaheadTruncation:
         base = dict(protocol="charisma", n_voice=10, n_data=3,
                     use_request_queue=True, duration_s=0.5, warmup_s=0.1,
                     seed=9)
-        engine = UplinkSimulationEngine(
-            Scenario(**base, macro_frames=16), PARAMS
-        )
+        engine = blocked_engine(Scenario(**base), 16)
         macro = engine.run()
         assert engine._macro is not None
         assert not engine._macro._supported  # every frame fell back
-        reference = run_simulation(Scenario(**base), PARAMS)
+        reference = _per_frame(**base)
         assert reference.summary() == macro.summary()
 
     def test_macro_frames_exceeding_measured_frames(self):
@@ -88,9 +89,7 @@ class TestLookaheadTruncation:
                     duration_s=0.1, warmup_s=0.025, seed=4)
         reference, macro = _pair(64, **base)
         assert reference.summary() == macro.summary()
-        engine = UplinkSimulationEngine(
-            Scenario(**base, macro_frames=64), PARAMS
-        )
+        engine = blocked_engine(Scenario(**base), 64)
         engine.run()
         scenario = Scenario(**base)
         assert engine.frame_index == (
@@ -147,9 +146,7 @@ class TestLookaheadTruncation:
         must still be bit-identical to pure per-frame stepping."""
         base = dict(protocol="dtdma_fr", n_voice=16, n_data=4,
                     duration_s=0.6, warmup_s=0.0, seed=8)
-        mixed = UplinkSimulationEngine(
-            Scenario(**base, macro_frames=16), PARAMS
-        )
+        mixed = blocked_engine(Scenario(**base), 16)
         mixed.run_frames(96)
         for _ in range(40):
             mixed.step()
@@ -196,18 +193,16 @@ class TestMidBlockTruncationProperty:
     *generator states themselves* must converge for every block size.
     """
 
-    @pytest.mark.parametrize("macro_frames", (4, 16, 64))
+    @pytest.mark.parametrize("block_frames", (4, 16, 64))
     @pytest.mark.parametrize("protocol", ("drma", "rama"))
     def test_winner_reentry_reconsumes_exactly_the_used_prefix(
-        self, protocol, macro_frames
+        self, protocol, block_frames
     ):
         base = dict(protocol=protocol, n_voice=24, n_data=6,
                     duration_s=0.5, warmup_s=0.1, seed=11)
-        reference_engine = UplinkSimulationEngine(Scenario(**base), PARAMS)
+        reference_engine = blocked_engine(Scenario(**base), 1)
         reference = reference_engine.run()
-        macro_engine = UplinkSimulationEngine(
-            Scenario(**base, macro_frames=macro_frames), PARAMS
-        )
+        macro_engine = blocked_engine(Scenario(**base), block_frames)
         macro = macro_engine.run()
         # The workload must actually exercise winner re-entry: the macro
         # path engaged, contention resolved winners and voice flowed.
@@ -322,19 +317,22 @@ class TestAccelKernels:
 class TestDispatchCounter:
     def test_counts_per_phase_and_floor_drops_under_macro(self):
         counts = {}
-        for macro_frames in (1, 16):
-            scenario = Scenario(protocol="rmav", n_voice=16, n_data=4,
-                                duration_s=0.25, warmup_s=0.0, seed=1,
-                                macro_frames=macro_frames)
-            engine = UplinkSimulationEngine(scenario, PARAMS)
+        scenario = Scenario(protocol="rmav", n_voice=16, n_data=4,
+                            duration_s=0.25, warmup_s=0.0, seed=1)
+        for label in ("per_frame", "macro"):
+            engine = blocked_engine(scenario, 16)
             engine.enable_phase_timing(count_dispatches=True)
             try:
-                engine.run_frames(100)
-                counts[macro_frames] = dict(engine.dispatch_counts)
+                if label == "per_frame":
+                    for _ in range(100):
+                        engine.step()
+                else:
+                    engine.run_frames(100)
+                counts[label] = dict(engine.dispatch_counts)
             finally:
                 engine.disable_phase_timing()
-        assert counts[1]["traffic"] > 0
-        assert counts[1]["phy"] > 0
-        total_per_frame = sum(counts[1].values())
-        total_macro = sum(counts[16].values())
+        assert counts["per_frame"]["traffic"] > 0
+        assert counts["per_frame"]["phy"] > 0
+        total_per_frame = sum(counts["per_frame"].values())
+        total_macro = sum(counts["macro"].values())
         assert total_macro < total_per_frame

@@ -208,6 +208,38 @@ class TestStatisticalEquivalence:
         )
 
 
+class TestFastModeBlockSizeInvariance:
+    """Fast-mode results do not depend on the block size once above 1.
+
+    The macro runner consumes every stream in the same order whatever the
+    block length (its pools roll back exactly at block ends), so
+    ``macro_frames`` of 2 and of 256 give the same fast-mode sample;
+    ``1`` keeps per-frame stepping, a different sample.  This is what lets
+    the block size become an engine constant in fast mode too.
+    """
+
+    @pytest.mark.parametrize("queue", [False, True])
+    @pytest.mark.parametrize("protocol", available_protocols())
+    def test_results_identical_across_block_sizes(self, protocol, queue):
+        results = {
+            macro_frames: run_simulation(
+                Scenario(
+                    protocol=protocol, n_voice=16, n_data=4,
+                    use_request_queue=queue, duration_s=0.5, warmup_s=0.15,
+                    seed=5, rng_mode="fast", macro_frames=macro_frames,
+                ),
+                PARAMS,
+            )
+            for macro_frames in (2, 7, 16, 64, 256)
+        }
+        reference = results[2]
+        assert reference.voice.generated > 0
+        for macro_frames, result in results.items():
+            assert (result.voice, result.data, result.mac) == (
+                reference.voice, reference.data, reference.mac
+            ), macro_frames
+
+
 class TestChildStreams:
     def test_child_is_deterministic_and_order_independent(self):
         streams_a = RandomStreams(42)

@@ -9,10 +9,25 @@ import numpy as np
 from repro.channel.manager import ChannelSnapshot
 from repro.config import SimulationParameters
 from repro.mac.registry import create_protocol
+from repro.sim.engine import UplinkSimulationEngine
+from repro.sim.scenario import Scenario
 from repro.traffic.packets import Packet, TrafficKind
 from repro.traffic.terminal import DataTerminal, Terminal, VoiceTerminal
 
 PARAMS = SimulationParameters()
+
+
+def blocked_engine(scenario: Scenario, block_frames: int,
+                   params: SimulationParameters = PARAMS) -> UplinkSimulationEngine:
+    """An engine whose parity-mode macro blocks hold ``block_frames`` frames.
+
+    Parity-mode runs always block-step with the engine constant
+    ``MACRO_BLOCK_FRAMES``; overriding it per instance lets a test place
+    block boundaries anywhere.
+    """
+    engine = UplinkSimulationEngine(scenario, params)
+    engine.MACRO_BLOCK_FRAMES = block_frames
+    return engine
 
 
 def make_snapshot(amplitudes: Sequence[float], frame_index: int = 0,
