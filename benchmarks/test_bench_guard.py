@@ -135,10 +135,10 @@ def test_macro_fps_and_speedup_not_regressed():
     Absolute macro fps is guarded like the columnar table (machine-drift
     margin); the ``macro_over_columnar`` ratio is additionally re-measured
     *in-session* — interleaved on the same machine state, in the RNG mode
-    the record names for each protocol (``macro_rng_mode``: parity for
-    most, fast for CHARISMA, whose CSI batching only engages there) — so a
-    quietly dropped lookahead fast path (ratio collapse towards 1.0) trips
-    the guard even on a faster machine.
+    the record names for each protocol (``macro_rng_mode``; parity for
+    every protocol in current records) — so a quietly dropped lookahead
+    fast path (ratio collapse towards 1.0) trips the guard even on a
+    faster machine.
 
     On top of the drift-margin comparison the in-session ratio carries
     *absolute* floors: every protocol in ``LOOKAHEAD_PROTOCOLS`` must beat

@@ -25,11 +25,10 @@ Sections beyond the PR 3 record (``macro``/``dispatches`` added in PR 5):
 * the per-protocol table now carries ``macro_fps`` / ``macro_over_columnar``
   — the macro-stepped frame loop (``Scenario.macro_frames=64``, bit
   identical to per-frame in parity mode) against per-frame columnar
-  stepping, interleaved with the object backend.  The pair is measured in
-  the RNG mode under which the protocol's lookahead engages (recorded per
-  protocol as ``macro_rng_mode``): parity for most, **fast** for CHARISMA,
-  whose batched-CSI stream only exists in fast mode — its quotient is
-  fast-macro over fast-columnar (``macro_base_fps``);
+  stepping, interleaved with the object backend.  Every protocol's
+  lookahead engages in parity mode, so each pair is parity over parity
+  (recorded per protocol as ``macro_rng_mode``, with the per-frame base
+  as ``macro_base_fps``);
 * ``dispatches_per_frame`` — measured ``@kernel(batch=True)`` entries per
   frame per phase (``enable_phase_timing(count_dispatches=True)``, backed
   by ``repro.obs.dispatch``'s entry wrappers and the ``kernel.dispatches``
@@ -104,8 +103,7 @@ REFERENCE_PROTOCOL = "rmav"
 MACRO_FRAMES = 64
 
 #: Protocols whose macro lookahead is a hard performance contract: each
-#: must beat per-frame stepping by >1.5x in-session (measured in the RNG
-#: mode its lookahead engages under — see ``_macro_rng_mode``).
+#: must beat per-frame stepping by >1.5x in-session.
 LOOKAHEAD_PROTOCOLS = (
     "charisma", "drma", "dtdma_fr", "dtdma_vr", "rama", "rmav",
 )
@@ -146,74 +144,41 @@ def _run_timed(protocol: str, backend: str, rng_mode: str = "parity",
 
 
 def _frames_per_second(protocol: str, backend: str,
-                       macro_frames: int = 1,
-                       rng_mode: str = "parity") -> float:
-    frames, elapsed = _run_timed(protocol, backend, rng_mode,
-                                 macro_frames=macro_frames)
+                       macro_frames: int = 1) -> float:
+    frames, elapsed = _run_timed(protocol, backend, macro_frames=macro_frames)
     return frames / elapsed
-
-
-def _macro_rng_mode(protocol: str) -> str:
-    """The RNG mode under which the protocol's macro lookahead engages.
-
-    Most protocols advertise ``supports_macro_lookahead`` in parity mode,
-    so their macro pair is a parity/parity quotient (and bit-identical to
-    per-frame stepping).  CHARISMA's lookahead only engages in fast mode —
-    its batched-CSI stream exists only there — so its pair is measured
-    fast/fast: same quotient discipline, different (recorded) mode.
-    """
-    if _build_engine(protocol, "columnar", "parity",
-                     SEED).protocol.supports_macro_lookahead:
-        return "parity"
-    if _build_engine(protocol, "columnar", "fast",
-                     SEED).protocol.supports_macro_lookahead:
-        return "fast"
-    return "parity"
 
 
 def measure() -> dict:
     """Interleaved best-of-N frames/sec per protocol: object vs columnar
     vs macro-stepped columnar (interleaved, one quotient base per pair).
 
-    The ``macro_over_columnar`` quotient always compares macro-stepped
-    against per-frame stepping *in the same RNG mode* (the mode is recorded
-    per protocol as ``macro_rng_mode``); when that mode is not parity the
-    fast per-frame base is timed as a fourth interleaved leg and recorded
-    as ``macro_base_fps``.  ``macro_over_object`` keeps the parity object
-    backend as its base and is therefore cross-mode for fast-measured
-    protocols — indicative only.
+    The ``macro_over_columnar`` quotient compares parity macro-stepped
+    against parity per-frame stepping — bit-identical runs — for every
+    protocol; the per-frame base is recorded as ``macro_base_fps`` and the
+    mode as ``macro_rng_mode``.
     """
     protocols = {}
     for protocol in available_protocols():
-        macro_mode = _macro_rng_mode(protocol)
-        best = {"object": 0.0, "columnar": 0.0, "macro_base": 0.0,
-                "macro": 0.0}
+        best = {"object": 0.0, "columnar": 0.0, "macro": 0.0}
         for _ in range(REPETITIONS):
             best["object"] = max(
                 best["object"], _frames_per_second(protocol, "object"))
             best["columnar"] = max(
                 best["columnar"], _frames_per_second(protocol, "columnar"))
-            if macro_mode != "parity":
-                best["macro_base"] = max(
-                    best["macro_base"],
-                    _frames_per_second(protocol, "columnar",
-                                       rng_mode=macro_mode))
             best["macro"] = max(
                 best["macro"],
                 _frames_per_second(protocol, "columnar",
-                                   macro_frames=MACRO_FRAMES,
-                                   rng_mode=macro_mode))
-        if macro_mode == "parity":
-            best["macro_base"] = best["columnar"]
+                                   macro_frames=MACRO_FRAMES))
         protocols[protocol] = {
             "object_fps": round(best["object"], 1),
             "columnar_fps": round(best["columnar"], 1),
             "macro_fps": round(best["macro"], 1),
-            "macro_base_fps": round(best["macro_base"], 1),
-            "macro_rng_mode": macro_mode,
+            "macro_base_fps": round(best["columnar"], 1),
+            "macro_rng_mode": "parity",
             "speedup": round(best["columnar"] / best["object"], 3),
             "macro_over_columnar": round(
-                best["macro"] / best["macro_base"], 3),
+                best["macro"] / best["columnar"], 3),
             "macro_over_object": round(best["macro"] / best["object"], 3),
         }
     return protocols

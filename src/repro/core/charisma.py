@@ -65,9 +65,8 @@ class CharismaProtocol(MACProtocol):
     supports_request_queue = True
     #: Every CHARISMA frame draws CSI noise and ranks its pending pool, so
     #: the macro runner cannot use the generic holder-serve frame; when the
-    #: instance supports lookahead (fast mode + dedicated CSI stream, see
-    #: ``__init__``) it dispatches to the runner's inline CSI-scheduled
-    #: frame with block-pooled estimation noise instead.
+    #: instance supports lookahead (see ``__init__``) it dispatches to the
+    #: runner's inline CSI-scheduled frame instead.
     macro_contention_style = "csi_schedule"
 
     def __init__(
@@ -96,8 +95,11 @@ class CharismaProtocol(MACProtocol):
         # (``csi_rng``) so the macro engine can prefetch a whole block of
         # standard normals and roll unconsumed draws back without touching
         # the shared MAC stream.  Parity mode keeps the shared ``rng`` —
-        # the object backend's draw order — and therefore falls back to
-        # the per-frame kernel inside macro blocks (bit-identity).
+        # the object backend's draw order — and the macro engine's inline
+        # frame makes the same draws live, in the same order.  Either way
+        # the inline frame computes the estimates itself, so a custom
+        # ``csi_estimator`` keeps the per-frame kernel; so does fast mode
+        # without the dedicated stream.
         use_csi_stream = self.rng_fast and csi_rng is not None
         self.csi_estimator = csi_estimator or CSIEstimator(
             n_pilot_symbols=params.pilot_symbols_per_request,
@@ -106,7 +108,7 @@ class CharismaProtocol(MACProtocol):
             rng=csi_rng if use_csi_stream else rng,
         )
         self.supports_macro_lookahead = bool(
-            csi_estimator is None and use_csi_stream
+            csi_estimator is None and (use_csi_stream or not self.rng_fast)
         )
         self.priority_calculator = PriorityCalculator(params.priority, modem)
         self.allocator = CSIRankedAllocator(modem, params.n_info_slots)

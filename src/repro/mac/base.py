@@ -169,13 +169,21 @@ class MACProtocol(abc.ABC):
     #: Whether the macro-stepped engine may execute this protocol's frames
     #: inline (reservation lookahead).  Requires that a frame with an empty
     #: request queue draws randomness only through streams the macro engine
-    #: can pool or replay exactly — contention draws, or (CHARISMA, fast
-    #: mode only) CSI estimation noise from a dedicated child stream.
+    #: can pool or replay exactly, or draw live in the per-frame order —
+    #: contention draws, or (CHARISMA) CSI estimation noise.
     #: Usually a class attribute; protocols whose eligibility depends on
-    #: construction (CHARISMA needs ``rng_mode="fast"`` plus an injected
-    #: CSI stream) override it per instance, which is why it is a plain
-    #: ``bool`` rather than a ``ClassVar``.
+    #: construction (CHARISMA needs its default estimator, and in fast mode
+    #: an injected CSI stream) override it per instance, which is why it is
+    #: a plain ``bool`` rather than a ``ClassVar``.
     supports_macro_lookahead: bool = False
+    #: Whether the macro runner may also execute frames with a non-empty
+    #: request queue inline.  Only for protocols whose ``run_frame_batch``
+    #: serves the backlog the shared FCFS way: release, prune, reserved
+    #: holders, contention, then :meth:`_serve_voice_rows_batch` and
+    #: :meth:`_serve_data_rows_batch` over backlog + winners, and the
+    #: unserved rows queued.  Other protocols' queue-backed frames fall
+    #: back to the per-frame kernel.
+    macro_fcfs_queue: ClassVar[bool] = False
     #: How the macro runner executes a frame with live contenders when the
     #: protocol has no fixed request subframe (``macro_minislots() is
     #: None``): ``"auction"`` resolves RAMA's sequential auction with direct

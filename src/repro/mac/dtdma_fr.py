@@ -42,8 +42,9 @@ class DTDMAFRProtocol(MACProtocol):
     supports_request_queue = True
     #: The whole request phase is slotted-ALOHA permission draws and the
     #: allocation phase draws nothing, so the macro engine executes frames
-    #: inline whenever the base-station queue is empty.
+    #: inline — queue-backed ones through its FCFS backlog service.
     supports_macro_lookahead = True
+    macro_fcfs_queue = True
 
     # ------------------------------------------------------------ interface
     def _build_frame_structure(self) -> FrameStructure:

@@ -53,9 +53,11 @@ class RAMAProtocol(MACProtocol):
     #: frames resolve through the runner's inline auction: the sequential
     #: tie/winner draw pairs are made directly against ``rng`` in the exact
     #: per-frame call order (they are inherently unpoolable), so contested
-    #: frames stay inside the fused block too.
+    #: frames stay inside the fused block too, and so do queue-backed
+    #: frames (the shared FCFS backlog service).
     supports_macro_lookahead = True
     macro_contention_style = "auction"
+    macro_fcfs_queue = True
 
     # ------------------------------------------------------------ interface
     def _build_frame_structure(self) -> FrameStructure:

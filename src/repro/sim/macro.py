@@ -30,11 +30,24 @@ work:
 * **metrics** — per-frame statistics accumulate in plain lists and cross
   the collector boundary once per block.
 
-A frame the fast path cannot express exactly — non-empty request queue, a
-protocol without lookahead support (CHARISMA draws CSI estimates every
-frame), DRMA/RAMA frames with live contenders — falls back to the
+Draws that cannot be pooled are made live, in the per-frame kernel's call
+order: RAMA's auction, parity CHARISMA's CSI estimation noise, and the
+request phase of a frame with a non-empty request queue (the D-TDMA and
+RAMA backlog is served inline, first-come-first-served, exactly like
+their kernels).  A frame the inline path cannot express falls back to the
 protocol's own ``run_frame_batch`` after flushing all deferred state, so
 the surrounding frames still enjoy the fused traffic/channel/metrics path.
+The fallback reasons (``macro.fallback_frames.<reason>`` counters and the
+``macro.fallback`` trace event's ``reason``) are:
+
+* ``queue`` — a non-empty request queue on a protocol without the FCFS
+  backlog service (DRMA, CHARISMA);
+* ``no_lookahead`` — a protocol without lookahead support (CHARISMA with a
+  custom CSI estimator, or in fast mode without the dedicated CSI stream;
+  custom protocols);
+* ``contended`` — live contenders on a protocol with neither a fixed
+  request subframe nor an inline contention style.
+
 In ``rng_mode="parity"`` the whole construction is **bit-identical** to
 per-frame :meth:`~repro.sim.engine.UplinkSimulationEngine.step` calls;
 ``tests/sim/test_backend_parity.py`` sweeps block sizes {4, 16, 64} over
@@ -171,9 +184,12 @@ class MacroRunner:
             if self._supported
             else None
         )
+        self._fcfs_queue = self._supported and bool(
+            getattr(protocol, "macro_fcfs_queue", False)
+        )
         self._info_slots = protocol.frame_structure.info_slots
         self._convert_minislots = protocol.frame_structure.minislots_per_info_slot
-        self._auction_slots = protocol.frame_structure.request_minislots
+        self._request_minislots = protocol.frame_structure.request_minislots
         self._reuse_snr = engine._reuse_snapshot_snr
         self._adaptive = protocol.modem.is_adaptive
         self._pool = RandomPool(protocol.contention_rng)
@@ -181,17 +197,20 @@ class MacroRunner:
         self._data_p = protocol.permission.data_probability
         self._nv = self.population.n_voice
 
-        # CSI-scheduled (CHARISMA, fast mode only) frame machinery: the
-        # estimation-noise pool over the protocol's dedicated CSI child
-        # stream plus the constants the fused inline frame folds its
-        # per-frame mode lookup, priority metric and allocation walk over.
+        # CSI-scheduled (CHARISMA) frame machinery: the estimation-noise
+        # stream — pooled in fast mode, where it is the protocol's dedicated
+        # CSI child stream, drawn live in parity mode, where it is the
+        # shared MAC stream — plus the constants the fused inline frame
+        # folds its per-frame mode lookup, priority metric and allocation
+        # walk over.
         self._csi_pool: Optional[NormalPool] = None
         self._csi_std = 0.0
         if self._style == "csi_schedule":
             estimator = protocol.csi_estimator
             self._csi_std = estimator.estimation_std(0.0)
-            if self._csi_std:
-                self._csi_pool = NormalPool(estimator.noise_rng)
+            self._csi_rng = estimator.noise_rng
+            if self._csi_std and protocol.rng_fast:
+                self._csi_pool = NormalPool(self._csi_rng)
             table = protocol.modem.mode_table
             self._thr_by_idx = table.throughput_by_mode_index
             self._packs_by_idx = table.packets_by_mode_index
@@ -284,8 +303,9 @@ class MacroRunner:
             drops = population.drop_expired_events(frame)
             if clock:
                 clock.stop()
-            if not self._fast_frame(plan, offset, frame, snapshot, drops, clock):
-                self._fallback_frame(frame, snapshot, drops, clock)
+            reason = self._fast_frame(plan, offset, frame, snapshot, drops, clock)
+            if reason is not None:
+                self._fallback_frame(frame, snapshot, drops, clock, reason)
             engine._frame_index = frame + 1
 
         self._flush_phy(clock)
@@ -298,15 +318,28 @@ class MacroRunner:
         self._expected_frame = engine._frame_index
 
     # ----------------------------------------------------------- fast frame
-    def _fast_frame(self, plan, offset, frame, snapshot, drops, clock) -> bool:
-        """Execute one frame inline; ``False`` defers to the per-frame kernel."""
+    def _fast_frame(self, plan, offset, frame, snapshot, drops, clock):
+        """Execute one frame inline.
+
+        Returns ``None`` when the frame ran inline, else the reason it must
+        fall back to the per-frame kernel (see the module docstring).
+        """
         if not self._supported:
-            return False
+            return "no_lookahead"
         protocol = self.protocol
+        population = self.population
         queue = protocol.request_queue
-        if queue is not None and len(queue):
-            return False
-        if self._mirrors_dirty:
+        queue_backed = queue is not None and len(queue) > 0
+        if queue_backed:
+            if not self._fcfs_queue:
+                return "queue"
+            # The kernel's queue prune (its reservation release is the
+            # holder loop below), then a rebuild of the mirrors: queued
+            # terminals do not contend, and the incremental mirrors only
+            # know the empty-queue candidate rule.
+            protocol.prune_queue_batch(frame, population)
+            self._sync_mirrors()
+        elif self._mirrors_dirty:
             self._sync_mirrors()
         else:
             self._update_mirrors(plan, offset, drops)
@@ -326,11 +359,10 @@ class MacroRunner:
             if self._style == "slot_loop":
                 return self._slot_loop_frame(frame, snapshot, drops, clock)
             if self._style != "auction":
-                return False
+                return "contended"
 
         if clock:
             clock.start("mac")
-        population = self.population
         occupancy_array = population.occupancy
         # Small populations: one bulk tolist beats the dozens of scalar
         # reads the holder/winner loops make; large ones read just the few
@@ -364,25 +396,55 @@ class MacroRunner:
 
         # Request phase.
         if candidates:
-            if minislots is not None:
+            if minislots is None:
+                winners, attempts, collisions, idle = self._run_auction()
+            elif queue_backed:
+                # The kernel's own call, drawn live once the pool has
+                # returned its unconsumed prefetch, so fast mode keeps its
+                # matrix-shaped draws.
+                self._pool.close()
+                contention = run_contention_ids(
+                    candidates,
+                    self._candidate_probs(),
+                    minislots,
+                    protocol.contention_rng,
+                    fast=protocol.rng_fast,
+                )
+                winners = contention.winner_ids
+                attempts = contention.attempts
+                collisions = contention.collisions
+                idle = contention.idle_slots
+            else:
                 winners, attempts, collisions, idle = self._run_contention(
                     minislots
                 )
-            else:
-                winners, attempts, collisions, idle = self._run_auction()
         else:
             winners = ()
             attempts = collisions = 0
             idle = protocol.macro_quiet_idle_slots(len(served))
 
-        # Allocation phase: per-grant capacities in one channel lookup.
-        voice_winners: List[int] = []
-        data_winners: List[int] = []
+        # Allocation phase: FCFS over the backlog (FIFO) and then this
+        # frame's winners, voice rows before data rows.  Every row is live:
+        # the prune above dropped the requests of drained terminals, and
+        # winners are candidates, which have packets.  No terminal appears
+        # twice — queued terminals and voice holders do not contend, and a
+        # served voice request leaves the queue before its reservation
+        # starts.  ``backlog`` keeps each backlog row's queued request for
+        # re-queueing; winners make theirs only if left unserved.
+        voice_pending: List[int] = []
+        data_pending: List[int] = []
+        backlog = {}
+        if queue_backed:
+            for request in queue.pop_all():
+                tid = request.terminal_id
+                backlog[tid] = request
+                pending = voice_pending if request.kind.is_voice else data_pending
+                pending.append(tid)
         if winners:
             nv = self._nv
             for tid in winners:
-                (voice_winners if tid < nv else data_winners).append(tid)
-        grant_order = served + voice_winners + data_winners
+                (voice_pending if tid < nv else data_pending).append(tid)
+        grant_order = served + voice_pending + data_pending
         if self._adaptive and grant_order:
             per_slot_arr, thr_arr = protocol.grant_capacity_columns(
                 np.asarray(grant_order, dtype=np.int64), snapshot
@@ -403,7 +465,7 @@ class MacroRunner:
 
         unserved: List[int] = []
         cap_cursor = len(served)
-        for tid in voice_winners:
+        for tid in voice_pending:
             if slots_left < 1:
                 unserved.append(tid)
                 cap_cursor += 1
@@ -422,7 +484,7 @@ class MacroRunner:
             self._holders_set.add(tid)
             self._discard_candidate(tid)
         data_cap = self._data_cap
-        for tid in data_winners:
+        for tid in data_pending:
             if slots_left < 1:
                 unserved.append(tid)
                 cap_cursor += 1
@@ -443,14 +505,17 @@ class MacroRunner:
             allocated += n_slots
             data_rows.append((tid, per_slot * n_slots, throughput))
 
-        # Winners the frame could not serve are queued (with-queue variant)
+        # Requests the frame could not serve are queued (with-queue variant)
         # or discarded; queueing changes the candidate rule, so the mirrors
         # resynchronise once the queue drains.
         if unserved and queue is not None:
             queue.extend(
-                protocol.make_request_for_id(population, tid, frame)
+                backlog.get(tid)
+                or protocol.make_request_for_id(population, tid, frame)
                 for tid in unserved
             )
+            self._mirrors_dirty = True
+        if queue_backed:
             self._mirrors_dirty = True
         queued = len(queue) if queue is not None else 0
 
@@ -507,7 +572,7 @@ class MacroRunner:
             # packets leave a data buffer), so the next frame's decisions
             # need them resolved — the flush boundary of the lookahead.
             self._flush_phy(clock)
-        return True
+        return None
 
     @kernel
     def _run_contention(self, n_minislots: int, ids=None, probs=None):
@@ -527,11 +592,7 @@ class MacroRunner:
         """
         if ids is None:
             ids = self._cand_ids
-            probs = self._cand_probs_arr
-            if probs is None:
-                probs = self._cand_probs_arr = np.asarray(
-                    self._cand_probs, dtype=float
-                )
+            probs = self._candidate_probs()
         m = _metrics.METRICS
         if m.enabled:
             # Pure accumulation — no clock, no draw — so metrics stay
@@ -591,7 +652,7 @@ class MacroRunner:
         voice_flags = [tid < nv for tid in remaining]
         winners: List[int] = []
         attempts = collisions = idle = 0
-        for _ in range(self._auction_slots):
+        for _ in range(self._request_minislots):
             n_remaining = len(remaining)
             if n_remaining == 0:
                 idle += 1
@@ -610,7 +671,7 @@ class MacroRunner:
             winners.append(winner)
         return winners, attempts, collisions, idle
 
-    def _slot_loop_frame(self, frame, snapshot, drops, clock) -> bool:
+    def _slot_loop_frame(self, frame, snapshot, drops, clock) -> None:
         """DRMA contended frame inline: cursor service + converted slots.
 
         Replicates ``DRMAProtocol.run_frame_batch`` decision for decision:
@@ -831,25 +892,24 @@ class MacroRunner:
             # Data outcomes feed back into buffer state, so the next
             # frame's decisions need them resolved.
             self._flush_phy(clock)
-        return True
 
     @kernel
-    def _csi_frame(self, frame, snapshot, drops, clock) -> bool:
-        """CHARISMA frame inline (fast RNG mode): pooled CSI noise.
+    def _csi_frame(self, frame, snapshot, drops, clock) -> None:
+        """CHARISMA frame inline: CSI-ranked allocation.
 
         Replicates ``CharismaProtocol.run_frame_batch`` on an empty-queue
-        frame: the fast matrix contention kernel against the contention
-        child stream, one batched CSI estimate over reservation holders +
-        winners — standard normals prefetched per block from the dedicated
-        estimation stream and scaled by the amplitude-independent noise
-        std, exactly the values ``estimate_amplitudes`` would produce —
-        then the frame's shared mode lookup, the stable priority ranking
-        and the ranked allocation walk.  Voice grants defer their PHY
-        outcome to the block flush; frames with data grants flush at frame
-        end because data outcomes feed back into buffer state.  Parity
-        CHARISMA never reaches this path (``supports_macro_lookahead`` is
-        False without the dedicated CSI stream) and keeps its bit-exact
-        per-frame fallback.
+        frame.  The request phase is the kernel's own contention call; the
+        CSI estimates of reservation holders + winners follow.  In fast
+        mode they are one batched estimate: standard normals prefetched
+        per block from the dedicated estimation stream and scaled by the
+        amplitude-independent noise std, exactly the values
+        ``estimate_amplitudes`` would produce.  In parity mode they are the
+        kernel's two live ``normal`` draws from the shared MAC stream,
+        winners' first, then holders'.  Then come the frame's shared mode
+        lookup, the stable priority ranking and the ranked allocation walk.
+        Voice grants defer their PHY outcome to the block flush; frames with
+        data grants flush at frame end because data outcomes feed back into
+        buffer state.
         """
         if clock:
             clock.start("mac")
@@ -883,23 +943,18 @@ class MacroRunner:
                 self._holders.remove(tid)
                 self._holders_set.discard(tid)
 
-        # Request phase: the fast matrix kernel draws directly from the
-        # contention child stream (the runner's uniform pool never opens
+        # Request phase: the kernel's contention call draws directly from
+        # the contention stream (the runner's uniform pool never opens
         # during a CSI-scheduled frame, so nothing can interleave).  A
         # quiet pool short-circuits to the kernel's own empty-input result
         # — no draw, every minislot idle — without paying the call.
         if self._cand_ids:
-            probs = self._cand_probs_arr
-            if probs is None:
-                probs = self._cand_probs_arr = np.asarray(
-                    self._cand_probs, dtype=float
-                )
             contention = run_contention_ids(
                 self._cand_ids,
-                probs,
-                self._auction_slots,
+                self._candidate_probs(),
+                self._request_minislots,
                 protocol.contention_rng,
-                fast=True,
+                fast=protocol.rng_fast,
             )
             winner_ids = contention.winner_ids
             attempts = contention.attempts
@@ -908,7 +963,7 @@ class MacroRunner:
         else:
             winner_ids = []
             attempts = collisions = 0
-            idle_slots = self._auction_slots
+            idle_slots = self._request_minislots
             m = _metrics.METRICS
             if m.enabled:
                 m.inc("contention.rounds", idle_slots)
@@ -928,17 +983,33 @@ class MacroRunner:
         if n_pending == 0:
             if clock:
                 clock.stop()
-            return True
+            return
 
-        # CSI estimation: one pooled noise draw for holders + winners.
+        # CSI estimation of holders + winners (rows in that order).
         tid_arr = np.asarray(all_ids, dtype=np.int64)
         amplitudes = snapshot.amplitude[tid_arr]
         std = self._csi_std
         if std == 0.0:
             estimates = amplitudes
-        else:
+        elif self._csi_pool is not None:
             estimates = amplitudes + std * self._csi_pool.take(n_pending)
             np.maximum(estimates, 0.0, out=estimates)
+        else:
+            noise = np.empty(n_pending)
+            if n_pending > n_reserved:
+                # Parity: the kernel's estimate_amplitudes order — the
+                # winners' normal(scale=std, size=k) first, ...
+                # lint: allow[KRN001]
+                noise[n_reserved:] = self._csi_rng.normal(
+                    scale=std, size=n_pending - n_reserved
+                )
+            if n_reserved:
+                # ... then the holders'.
+                # lint: allow[KRN001]
+                noise[:n_reserved] = self._csi_rng.normal(
+                    scale=std, size=n_reserved
+                )
+            estimates = np.maximum(0.0, amplitudes + noise)
 
         # Mode lookup, inline: ``searchsorted(thresholds) - 1`` is the mode
         # index and the capacity LUTs are addressed at ``index + 1``, so the
@@ -1089,10 +1160,9 @@ class MacroRunner:
             # Data outcomes feed back into buffer state, so the next
             # frame's decisions need them resolved.
             self._flush_phy(clock)
-        return True
 
     # ------------------------------------------------------- fallback frame
-    def _fallback_frame(self, frame, snapshot, drops, clock) -> None:
+    def _fallback_frame(self, frame, snapshot, drops, clock, reason) -> None:
         """One frame through the protocol's own kernel, streams realigned."""
         engine = self._engine_ref()
         population = self.population
@@ -1104,8 +1174,9 @@ class MacroRunner:
         m = _metrics.METRICS
         if m.enabled:
             m.inc("macro.fallback_frames")
+            m.inc("macro.fallback_frames." + reason)
         if clock is not None and clock.tracer is not None:
-            clock.tracer.event("macro.fallback", frame=frame)
+            clock.tracer.event("macro.fallback", frame=frame, reason=reason)
 
         if clock:
             clock.start("mac")
@@ -1248,6 +1319,15 @@ class MacroRunner:
             for tid, _dropped, _counted in drops:
                 if occupancy[tid] == 0:
                     self._discard_candidate(tid)
+
+    def _candidate_probs(self) -> np.ndarray:
+        """The candidate mirror's probabilities as an (aligned) array."""
+        probs = self._cand_probs_arr
+        if probs is None:
+            probs = self._cand_probs_arr = np.asarray(
+                self._cand_probs, dtype=float
+            )
+        return probs
 
     def _add_candidate(self, tid: int, probability: float) -> None:
         ids = self._cand_ids

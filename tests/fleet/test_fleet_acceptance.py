@@ -147,8 +147,14 @@ class TestSigkillSurvival:
         service.set_meta("params", params_to_payload(spec.params))
         service.enqueue(points)
 
+        # The victim hangs at the start of every point attempt, so the kill
+        # below always lands mid-point.  Without the hang a fast point
+        # could finish between the victim's store.put and its completion;
+        # the survivor would then dedupe that point from the store and
+        # the execution count would come up one short.
         victim = spawn_worker(db_path, store_path, worker_id="victim",
-                              lease_ttl_s=lease_ttl_s)
+                              lease_ttl_s=lease_ttl_s,
+                              fault_spec="hang_every=1,hang_s=30")
         survivor = spawn_worker(db_path, store_path, worker_id="survivor",
                                 lease_ttl_s=lease_ttl_s)
         try:

@@ -116,6 +116,25 @@ class TestSpanStructure:
         events = {r["name"] for r in sink.records if r.get("record") == "event"}
         assert "macro.plan" in events
 
+    def test_fallback_events_carry_their_reason(self, sink):
+        """DRMA serves its backlog only in its own kernel, so with winners
+        left waiting (three information slots) its queue-backed frames
+        fall back — each event and counter says so."""
+        from dataclasses import replace
+
+        from repro.config import SimulationParameters
+
+        params = replace(SimulationParameters(), n_info_slots=3)
+        scenario = _scenario(protocol="drma", n_voice=40, n_data=10,
+                             duration_s=0.5, warmup_s=0.25, seed=9)
+        with metrics.recording() as registry:
+            run_simulation(scenario, params)
+        reasons = [r["attrs"]["reason"] for r in sink.records
+                   if r.get("name") == "macro.fallback"]
+        assert reasons and set(reasons) == {"queue"}
+        assert (registry.counter("macro.fallback_frames.queue")
+                == registry.counter("macro.fallback_frames") == len(reasons))
+
 
 class TestPhaseTimingMigration:
     def test_enable_phase_timing_still_returns_phase_dict(self):

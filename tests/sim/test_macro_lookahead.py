@@ -3,25 +3,34 @@
 The parity suite (``test_backend_parity.py``) asserts whole-run
 bit-identity across block sizes; this module pins the specific events that
 truncate or re-align a lookahead block — a contention success mid-block, a
-reservation expiring at a block boundary, CHARISMA's per-frame CSI draws —
-plus the roll-back/replay pool and the compiled-kernel seam themselves.
+reservation expiring at a block boundary, parity CHARISMA's live CSI draws,
+queue-backed frames and the fallbacks that remain — plus the
+roll-back/replay pool and the compiled-kernel seam themselves.
 
 Parity-mode runs always block-step, so every reference here is driven one
 ``engine.step()`` per frame through a block size of 1, and every block size
 is set on the engine (``blocked_engine``).
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.accel import HAS_NUMBA, contention_round_scan, voice_generation_offsets
 from repro.config import SimulationParameters
+from repro.core.charisma import CharismaProtocol
+from repro.mac.registry import build_modem
+from repro.obs import metrics
+from repro.phy.csi import CSIEstimator
 from repro.sim.engine import UplinkSimulationEngine
 from repro.sim.macro import RandomPool
+from repro.sim.rng import RandomStreams
 from repro.sim.scenario import Scenario
 from tests.utils import blocked_engine
 
 PARAMS = SimulationParameters()
+FALLBACK_REASONS = ("queue", "no_lookahead", "contended")
 
 
 def _per_frame(**kwargs):
@@ -70,19 +79,6 @@ class TestLookaheadTruncation:
         reference, macro = _pair(block_frames, **base)
         assert reference.summary() == macro.summary()
 
-    def test_charisma_csi_frames_fall_back(self):
-        """CHARISMA draws CSI estimates every frame, so macro blocks must
-        route every frame through its own kernel — and still be exact."""
-        base = dict(protocol="charisma", n_voice=10, n_data=3,
-                    use_request_queue=True, duration_s=0.5, warmup_s=0.1,
-                    seed=9)
-        engine = blocked_engine(Scenario(**base), 16)
-        macro = engine.run()
-        assert engine._macro is not None
-        assert not engine._macro._supported  # every frame fell back
-        reference = _per_frame(**base)
-        assert reference.summary() == macro.summary()
-
     def test_macro_frames_exceeding_measured_frames(self):
         """Blocks clamp to the remaining warm-up/measured frame counts."""
         base = dict(protocol="dtdma_vr", n_voice=8, n_data=2,
@@ -97,8 +93,9 @@ class TestLookaheadTruncation:
         )
 
     def test_queue_pressure_toggles_fallback(self):
-        """With the request queue enabled, queue-backed frames fall back
-        and drained-queue frames resume the fast path — exactly."""
+        """With the request queue enabled, queue-backed frames run the
+        inline FCFS backlog service and drained-queue frames the generic
+        inline frame — the switches between the two stay exact."""
         base = dict(protocol="dtdma_fr", n_voice=40, n_data=10,
                     use_request_queue=True, duration_s=0.4, warmup_s=0.1,
                     seed=13)
@@ -178,6 +175,156 @@ class TestLookaheadTruncation:
     def test_macro_frames_validation(self):
         with pytest.raises(ValueError, match="macro_frames"):
             Scenario(protocol="rmav", n_voice=1, n_data=0, macro_frames=0)
+
+
+def _run_counting_fallbacks(engine):
+    """Run ``engine``; return its result and fallback frames per reason."""
+    with metrics.recording() as registry:
+        result = engine.run()
+    counts = {reason: registry.counter("macro.fallback_frames." + reason)
+              for reason in FALLBACK_REASONS}
+    assert sum(counts.values()) == registry.counter("macro.fallback_frames")
+    return result, counts
+
+
+def _assert_same_run(reference_engine, reference, engine, result):
+    """Same results, same per-frame streams, same generator positions."""
+    assert reference.summary() == result.summary()
+    assert (reference_engine.collector.voice_loss_events_per_frame
+            == engine.collector.voice_loss_events_per_frame)
+    assert (reference_engine.collector.data_delivered_per_frame
+            == engine.collector.data_delivered_per_frame)
+    for stream in ("rng", "contention_rng"):
+        assert (getattr(reference_engine.protocol, stream).bit_generator.state
+                == getattr(engine.protocol, stream).bit_generator.state)
+
+
+class TestInlineFrames:
+    """Parity CHARISMA frames and queue-backed FCFS frames run inside the
+    macro block, and still match per-frame stepping exactly."""
+
+    CHARISMA = dict(protocol="charisma", n_voice=40, n_data=10,
+                    duration_s=0.75, warmup_s=0.25, seed=9)
+
+    @pytest.mark.parametrize("queue", (False, True))
+    @pytest.mark.parametrize("block_frames", (2, 16, 64))
+    def test_parity_charisma_runs_inline(self, block_frames, queue):
+        # Three information slots keep winners waiting, so the queue-on
+        # leg really exercises CHARISMA's queue-backed (fallback) frames.
+        params = dataclasses.replace(PARAMS, n_info_slots=3)
+        scenario = Scenario(use_request_queue=queue, **self.CHARISMA)
+        reference_engine = blocked_engine(scenario, 1, params)
+        reference = reference_engine.run()
+        engine = blocked_engine(scenario, block_frames, params)
+        result, fallbacks = _run_counting_fallbacks(engine)
+        assert engine._macro._supported
+        assert engine._macro._csi_pool is None  # live parity draws
+        assert reference.mac.contention_attempts > 0
+        assert reference.voice.delivered > 0
+        _assert_same_run(reference_engine, reference, engine, result)
+        # Only queue-backed CHARISMA frames still fall back.
+        assert fallbacks["no_lookahead"] == fallbacks["contended"] == 0
+        if queue:
+            assert reference.mac.mean_queue_length > 0
+            assert 0 < fallbacks["queue"] < engine.frame_index
+        else:
+            assert fallbacks["queue"] == 0
+
+    def test_parity_charisma_perfect_csi_runs_inline(self):
+        """With noiseless estimates the inline frame draws no CSI noise at
+        all — still exactly what the per-frame kernel does."""
+        scenario = Scenario(**self.CHARISMA)
+        engines = [blocked_engine(scenario, block) for block in (1, 16)]
+        for engine in engines:
+            engine.protocol.csi_estimator._perfect = True
+        reference = engines[0].run()
+        result, fallbacks = _run_counting_fallbacks(engines[1])
+        assert engines[1]._macro._supported
+        assert engines[1]._macro._csi_std == 0.0
+        assert sum(fallbacks.values()) == 0
+        _assert_same_run(engines[0], reference, engines[1], result)
+
+    def test_custom_csi_estimator_falls_back(self):
+        """The inline frame computes estimates itself, so a caller-supplied
+        estimator keeps every frame on the protocol's own kernel."""
+        scenario = Scenario(**self.CHARISMA)
+
+        def custom_engine():
+            streams = RandomStreams(scenario.seed)
+            rng = streams["mac"]
+            estimator = CSIEstimator(
+                n_pilot_symbols=PARAMS.pilot_symbols_per_request,
+                mean_snr_db=PARAMS.mean_snr_db,
+                validity_frames=PARAMS.csi_validity_frames,
+                rng=rng,
+            )
+            protocol = CharismaProtocol(
+                PARAMS, build_modem("charisma", PARAMS), rng,
+                csi_estimator=estimator,
+            )
+            return UplinkSimulationEngine(scenario, PARAMS, protocol=protocol,
+                                          streams=streams)
+
+        engine = custom_engine()
+        engine.MACRO_BLOCK_FRAMES = 16
+        result, fallbacks = _run_counting_fallbacks(engine)
+        assert not engine._macro._supported
+        assert fallbacks == {"queue": 0, "no_lookahead": engine.frame_index,
+                             "contended": 0}
+        # The custom estimator equals the default one, so the fallback run
+        # also matches the default engine stepped per frame.
+        reference_engine = blocked_engine(scenario, 1)
+        _assert_same_run(reference_engine, reference_engine.run(), engine,
+                         result)
+
+    @pytest.mark.parametrize("capacity", (PARAMS.request_queue_capacity, 2))
+    @pytest.mark.parametrize("block_frames", (2, 16, 64))
+    @pytest.mark.parametrize("protocol", ("dtdma_vr", "dtdma_fr", "rama"))
+    def test_queue_backed_fcfs_frames_run_inline(self, protocol, block_frames,
+                                                 capacity):
+        """Backlog service, re-queueing, expiry pruning and (at capacity
+        2) rejected requests, all inside the block.  Two information slots
+        against twenty request minislots keep requests queued past their
+        voice deadlines."""
+        params = dataclasses.replace(PARAMS, n_info_slots=2,
+                                     n_request_slots=20,
+                                     request_queue_capacity=capacity)
+        scenario = Scenario(protocol=protocol, n_voice=40, n_data=10,
+                            use_request_queue=True, duration_s=1.0,
+                            warmup_s=0.25, seed=9)
+        engines = [blocked_engine(scenario, block, params)
+                   for block in (1, block_frames)]
+        spies = [self._spy_queue(engine) for engine in engines]
+        reference = engines[0].run()
+        result, fallbacks = _run_counting_fallbacks(engines[1])
+        assert reference.mac.mean_queue_length > 1.0
+        assert sum(fallbacks.values()) == 0
+        _assert_same_run(engines[0], reference, engines[1], result)
+        assert spies[0] == spies[1]
+        assert spies[0]["expired"] > 0
+        assert (spies[0]["rejected"] > 0) == (capacity == 2)
+
+    @staticmethod
+    def _spy_queue(engine):
+        """Tally the requests the engine's queue rejects and expires."""
+        queue = engine.protocol.request_queue
+        extend, drop_expired = queue.extend, queue.drop_expired
+        tally = {"rejected": 0, "expired": 0}
+
+        def counting_extend(requests):
+            requests = list(requests)
+            accepted = extend(requests)
+            tally["rejected"] += len(requests) - accepted
+            return accepted
+
+        def counting_drop_expired(frame):
+            dropped = drop_expired(frame)
+            tally["expired"] += dropped
+            return dropped
+
+        queue.extend = counting_extend
+        queue.drop_expired = counting_drop_expired
+        return tally
 
 
 class TestMidBlockTruncationProperty:
