@@ -79,7 +79,6 @@ def _frames_per_second(protocol: str, workload: dict,
         duration_s=workload["measured_s"],
         warmup_s=workload["warmup_s"],
         seed=workload["seed"],
-        engine_backend="columnar",
         rng_mode=rng_mode,
         macro_frames=macro_frames,
     )

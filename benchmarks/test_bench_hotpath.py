@@ -1,34 +1,33 @@
-"""Hot-path benchmark: engine backends and RNG modes, frames per second.
+"""Hot-path benchmark: stepping modes, MAC paths and RNG modes, frames per second.
 
 Times the 100-terminal reference workload (the ROADMAP's "hot-path
-profiling" item) on both engine backends for every protocol and records the
-result in ``BENCH_engine.json`` at the repository root, appending to a
-history list so the frames/sec trajectory accumulates across sessions.
+profiling" item) for every protocol and records the result in
+``BENCH_engine.json`` at the repository root, appending to a history list
+so the frames/sec trajectory accumulates across sessions.
 
 Methodology
 -----------
-The two backends produce bit-identical results under a common seed (see
-``tests/sim/test_backend_parity.py``), so the backend table is a pure
-like-for-like timing comparison.  Backend measurements are interleaved and
-the best of several repetitions is kept, using CPU time, which cancels
-machine-load drift between the two sides.
+Measurements are interleaved and the best of several repetitions is kept,
+using CPU time, which cancels machine-load drift between the compared
+sides.
 
-The *reference workload* for the headline speedup is RMAV on 100 terminals:
-RMAV's MAC layer is the thinnest of the six protocols (one competitive slot
-per frame, no request queue), so its frames/sec is the purest measure of
-the frame-loop cost — traffic generation, deadline expiry, channel advance,
-grant execution and metrics accumulation.  The per-protocol table shows the
-speedup including each protocol's own MAC overhead.
+The *reference workload* is RMAV on 100 terminals: RMAV's MAC layer is the
+thinnest of the six protocols (one competitive slot per frame, no request
+queue), so its frames/sec is the purest measure of the frame-loop cost —
+traffic generation, deadline expiry, channel advance, grant execution and
+metrics accumulation.
 
-Sections beyond the PR 3 record (``macro``/``dispatches`` added in PR 5):
+Sections of a record:
 
-* the per-protocol table now carries ``macro_fps`` / ``macro_over_columnar``
-  — the macro-stepped frame loop (``Scenario.macro_frames=64``, bit
-  identical to per-frame in parity mode) against per-frame columnar
-  stepping, interleaved with the object backend.  Every protocol's
+* the per-protocol table carries ``columnar_fps`` (per-frame stepping) and
+  ``macro_fps`` / ``macro_over_columnar`` — the macro-stepped frame loop
+  (``Scenario.macro_frames=64``, bit identical to per-frame in parity
+  mode) against per-frame stepping, interleaved.  Every protocol's
   lookahead engages in parity mode, so each pair is parity over parity
   (recorded per protocol as ``macro_rng_mode``, with the per-frame base
-  as ``macro_base_fps``);
+  as ``macro_base_fps``).  Records up to 2026-10-17 also carry
+  ``object_fps`` / ``speedup`` / ``macro_over_object`` against the
+  per-terminal object engine, which has since been removed;
 * ``dispatches_per_frame`` — measured ``@kernel(batch=True)`` entries per
   frame per phase (``enable_phase_timing(count_dispatches=True)``, backed
   by ``repro.obs.dispatch``'s entry wrappers and the ``kernel.dispatches``
@@ -37,7 +36,7 @@ Sections beyond the PR 3 record (``macro``/``dispatches`` added in PR 5):
 
 * ``mac_kernels`` — the array-native ``run_frame_batch`` kernels (parity
   and fast RNG modes) against the view-walking ``run_frame`` path on the
-  same columnar backend, interleaved in-session.  This is the clean
+  same engine, interleaved in-session.  This is the clean
   architecture comparison: absolute fps on this machine drifts by tens of
   percent between sessions (CPU frequency phases), so the kernels' gain is
   only meaningful measured side by side.  A fast-mode run draws a
@@ -109,8 +108,8 @@ LOOKAHEAD_PROTOCOLS = (
 )
 
 
-def _build_engine(protocol: str, backend: str, rng_mode: str, seed: int,
-                  use_batch_mac=None, macro_frames: int = 1):
+def _build_engine(protocol: str, rng_mode: str, seed: int,
+                  use_batch_mac: bool = True, macro_frames: int = 1):
     scenario = Scenario(
         protocol=protocol,
         n_voice=N_VOICE,
@@ -118,7 +117,6 @@ def _build_engine(protocol: str, backend: str, rng_mode: str, seed: int,
         duration_s=DURATION_S,
         warmup_s=WARMUP_S,
         seed=seed,
-        engine_backend=backend,
         rng_mode=rng_mode,
         macro_frames=macro_frames,
     )
@@ -128,30 +126,29 @@ def _build_engine(protocol: str, backend: str, rng_mode: str, seed: int,
     return engine
 
 
-def _run_timed(protocol: str, backend: str, rng_mode: str = "parity",
-               seed: int = SEED, use_batch_mac=None,
+def _run_timed(protocol: str, rng_mode: str = "parity",
+               seed: int = SEED, use_batch_mac: bool = True,
                macro_frames: int = 1) -> tuple:
     """Run once; return (frames, cpu_seconds).
 
     ``macro_frames=1`` steps frame by frame in either RNG mode; larger
     values run the engine's block-stepped default.
     """
-    engine = _build_engine(protocol, backend, rng_mode, seed, use_batch_mac,
+    engine = _build_engine(protocol, rng_mode, seed, use_batch_mac,
                            macro_frames)
     start = time.process_time()
     engine.run()
     return engine.frame_index, time.process_time() - start
 
 
-def _frames_per_second(protocol: str, backend: str,
-                       macro_frames: int = 1) -> float:
-    frames, elapsed = _run_timed(protocol, backend, macro_frames=macro_frames)
+def _frames_per_second(protocol: str, macro_frames: int = 1) -> float:
+    frames, elapsed = _run_timed(protocol, macro_frames=macro_frames)
     return frames / elapsed
 
 
 def measure() -> dict:
-    """Interleaved best-of-N frames/sec per protocol: object vs columnar
-    vs macro-stepped columnar (interleaved, one quotient base per pair).
+    """Interleaved best-of-N frames/sec per protocol: per-frame vs
+    macro-stepped (interleaved, one quotient base per pair).
 
     The ``macro_over_columnar`` quotient compares parity macro-stepped
     against parity per-frame stepping — bit-identical runs — for every
@@ -160,26 +157,20 @@ def measure() -> dict:
     """
     protocols = {}
     for protocol in available_protocols():
-        best = {"object": 0.0, "columnar": 0.0, "macro": 0.0}
+        best = {"columnar": 0.0, "macro": 0.0}
         for _ in range(REPETITIONS):
-            best["object"] = max(
-                best["object"], _frames_per_second(protocol, "object"))
             best["columnar"] = max(
-                best["columnar"], _frames_per_second(protocol, "columnar"))
+                best["columnar"], _frames_per_second(protocol))
             best["macro"] = max(
                 best["macro"],
-                _frames_per_second(protocol, "columnar",
-                                   macro_frames=MACRO_FRAMES))
+                _frames_per_second(protocol, macro_frames=MACRO_FRAMES))
         protocols[protocol] = {
-            "object_fps": round(best["object"], 1),
             "columnar_fps": round(best["columnar"], 1),
             "macro_fps": round(best["macro"], 1),
             "macro_base_fps": round(best["columnar"], 1),
             "macro_rng_mode": "parity",
-            "speedup": round(best["columnar"] / best["object"], 3),
             "macro_over_columnar": round(
                 best["macro"] / best["columnar"], 3),
-            "macro_over_object": round(best["macro"] / best["object"], 3),
         }
     return protocols
 
@@ -198,7 +189,7 @@ def measure_dispatches() -> dict:
     for protocol in available_protocols():
         row = {}
         for label, macro_frames in (("columnar", 1), ("macro", MACRO_FRAMES)):
-            engine = _build_engine(protocol, "columnar", "parity", SEED,
+            engine = _build_engine(protocol, "parity", SEED,
                                    macro_frames=macro_frames)
             engine.enable_phase_timing(count_dispatches=True)
             try:
@@ -227,9 +218,9 @@ _KERNEL_CONFIGS = (
 def measure_mac_kernels() -> dict:
     """Seed-aggregated view-path vs batch-kernel vs fast-mode throughput.
 
-    All three configurations run on the columnar backend, interleaved seed
-    by seed so machine-frequency drift hits them equally; fps is total
-    frames over total CPU seconds per configuration.
+    The three configurations are interleaved seed by seed so
+    machine-frequency drift hits them equally; fps is total frames over
+    total CPU seconds per configuration.
     """
     kernels = {}
     for protocol in available_protocols():
@@ -237,7 +228,7 @@ def measure_mac_kernels() -> dict:
         for seed in RNG_MODE_SEEDS:
             for label, mode, batch in _KERNEL_CONFIGS:
                 frames, elapsed = _run_timed(
-                    protocol, "columnar", mode, seed, use_batch_mac=batch
+                    protocol, mode, seed, use_batch_mac=batch
                 )
                 totals[label][0] += frames
                 totals[label][1] += elapsed
@@ -256,7 +247,7 @@ def measure_phase_split() -> dict:
     per-frame stepping)."""
     split = {}
     for protocol in available_protocols():
-        engine = _build_engine(protocol, "columnar", "parity", SEED)
+        engine = _build_engine(protocol, "parity", SEED)
         phases = engine.enable_phase_timing()
         engine.run()
         total = sum(phases.values()) or 1.0
@@ -356,8 +347,7 @@ def test_bench_hotpath_backends():
     )
 
     table = "\n".join(
-        f"  {name:10s} object {row['object_fps']:9.0f} fps   "
-        f"columnar {row['columnar_fps']:9.0f} fps   {row['speedup']:.2f}x   "
+        f"  {name:10s} columnar {row['columnar_fps']:9.0f} fps   "
         f"macro {row['macro_fps']:9.0f} fps "
         f"({row['macro_over_columnar']:.2f}x)   "
         f"kernels view {kernels[name]['view_fps']:8.0f} "
@@ -365,14 +355,8 @@ def test_bench_hotpath_backends():
         f"fast {kernels[name]['fast_fps']:8.0f}"
         for name, row in protocols.items()
     )
-    print(f"\nhot-path backends @ {N_VOICE + N_DATA} terminals:\n{table}")
+    print(f"\nhot-path frame loop @ {N_VOICE + N_DATA} terminals:\n{table}")
 
-    # Correctness floor: the columnar backend must beat the object backend
-    # decisively on every protocol; the reference workload's headline
-    # speedup is recorded in BENCH_engine.json.
-    for name, row in protocols.items():
-        assert row["speedup"] > 1.5, (name, row)
-    assert reference["speedup"] > 2.0, reference
     # The MAC phase must no longer dwarf the frame loop on the MAC-heavy
     # protocols: the kernelised MAC keeps it under three quarters.
     for name, split in phase_split.items():

@@ -26,8 +26,8 @@ Python:
   ``@kernel`` purity and store-schema hygiene, with ``--json`` and
   ``--update-baseline`` for the committed baseline/fingerprint files;
 * ``selftest`` (also reachable as ``python -m repro --selftest``) — smoke-run
-  one tiny experiment through every executor, check they agree, verify the
-  columnar and object engine backends produce identical results, and
+  one tiny experiment through every executor, check they agree, verify that
+  per-frame and block-stepped engines produce identical results, and
   round-trip the result store in a temporary directory.
 
 All simulation commands funnel through :mod:`repro.api`; ``--cache DIR``
@@ -224,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser(
         "selftest",
         help="run one tiny experiment through each executor, compare them, "
-             "check columnar/object engine-backend parity, cross-check the "
+             "check per-frame == block-stepped engine parity, cross-check the "
              "fast RNG mode, round-trip an observability trace, and "
              "round-trip the result store",
     )
@@ -246,15 +246,10 @@ def _add_scenario_arguments(parser: argparse.ArgumentParser,
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--speed", type=float, default=None,
                         help="mobile speed in km/h (default: Table 1 value)")
-    parser.add_argument("--backend", choices=("columnar", "object"),
-                        default="columnar",
-                        help="simulation core: vectorised struct-of-arrays "
-                             "(columnar, default) or per-terminal objects "
-                             "(object); both give identical results")
     parser.add_argument("--rng-mode", choices=("parity", "fast"),
                         default="parity", dest="rng_mode",
                         help="random-draw batching: parity (default) is "
-                             "bit-identical to the object backend; fast "
+                             "bit-identical to per-frame stepping; fast "
                              "batches whole-frame draws from per-subsystem "
                              "child streams (statistically equivalent, "
                              "fastest for paper-scale sweeps)")
@@ -295,7 +290,6 @@ def _scenario_from_args(args: argparse.Namespace, protocol: Optional[str] = None
         warmup_s=args.warmup,
         seed=args.seed,
         mobile_speed_kmh=args.speed,
-        engine_backend=getattr(args, "backend", "columnar"),
         rng_mode=getattr(args, "rng_mode", "parity"),
         macro_frames=getattr(args, "macro_frames", 1),
     )
@@ -601,7 +595,6 @@ def _command_profile(args: argparse.Namespace) -> int:
             )
         report = {
             "scenario": scenario.label(),
-            "backend": scenario.engine_backend,
             "rng_mode": scenario.rng_mode,
             "frames": frames,
             "cpu_seconds": round(elapsed, 6),
@@ -628,8 +621,7 @@ def _command_profile(args: argparse.Namespace) -> int:
     result = engine.run()
     profiler.disable()
     frames = engine.frame_index
-    print(f"profiled {scenario.label()} [{scenario.engine_backend} backend]: "
-          f"{frames} frames")
+    print(f"profiled {scenario.label()}: {frames} frames")
     print(f"voice loss {result.voice.loss_rate:.4f}, "
           f"data throughput {result.data.throughput_packets_per_frame:.3f} pkt/frame")
     stats = pstats.Stats(profiler)
@@ -681,33 +673,21 @@ def _command_lint(args: argparse.Namespace) -> int:
     return run_from_args(args)
 
 
-def _selftest_backend_parity() -> bool:
-    """Per-frame columnar, object and block-stepped engines must agree."""
+def _selftest_stepping_parity() -> bool:
+    """Per-frame and block-stepped engines must agree."""
     from repro.sim.engine import UplinkSimulationEngine
     from repro.sim.runner import run_simulation
 
-    def per_frame(scenario: Scenario):
-        engine = UplinkSimulationEngine(scenario)
-        engine.MACRO_BLOCK_FRAMES = 1
-        return engine.run()
-
     for protocol in ("charisma", "dtdma_vr", "rama"):
-        base = Scenario(protocol=protocol, n_voice=6, n_data=2,
-                        use_request_queue=True, duration_s=0.4, warmup_s=0.2,
-                        seed=11)
-        results = {
-            backend: per_frame(base.with_overrides(engine_backend=backend))
-            for backend in ("columnar", "object")
-        }
-        if results["columnar"].summary() != results["object"].summary():
-            print(f"  MISMATCH: engine backends disagree for {protocol}")
-            return False
-        macro = run_simulation(base)
-        if macro.summary() != results["columnar"].summary():
+        scenario = Scenario(protocol=protocol, n_voice=6, n_data=2,
+                            use_request_queue=True, duration_s=0.4,
+                            warmup_s=0.2, seed=11)
+        per_frame = UplinkSimulationEngine(scenario)
+        per_frame.MACRO_BLOCK_FRAMES = 1
+        if run_simulation(scenario).summary() != per_frame.run().summary():
             print(f"  MISMATCH: block-stepped engine disagrees for {protocol}")
             return False
-    print("  engine backends    columnar == object == block-stepped "
-          "for 3 protocols")
+    print("  engine stepping    per-frame == block-stepped for 3 protocols")
     return True
 
 
@@ -830,7 +810,7 @@ def _command_selftest(_: argparse.Namespace) -> int:
     rows = results.aggregate(["voice_loss_rate"], by=("protocol", "n_voice"))
     print(f"  aggregate          {len(rows)} (protocol, n_voice) groups ok")
 
-    if not _selftest_backend_parity():
+    if not _selftest_stepping_parity():
         return 1
     if not _selftest_rng_fast():
         return 1

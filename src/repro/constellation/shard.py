@@ -66,9 +66,7 @@ class BeamShard:
             # coupling barrier so an interference update takes effect on the
             # very next macro block instead of up to 64 frames late.
             self.engine.CHANNEL_BLOCK_FRAMES = scenario.macro_frames
-        population = self.engine.population
-        assert population is not None  # columnar backend always builds one
-        self.population: TerminalPopulation = population
+        self.population: TerminalPopulation = self.engine.population
         #: Exponential moving average of the shard's per-frame step cost,
         #: fed to the LPT shard→worker assignment.  Seeded uniformly.
         self.cost_ema: float = 1.0

@@ -28,7 +28,7 @@ import numpy as np
 from repro.channel.manager import ChannelSnapshot
 from repro.mac.requests import Allocation, GrantColumns, Request, RequestColumns
 from repro.phy.abicm import AdaptiveModem
-from repro.traffic.terminal import Terminal
+from repro.traffic.population import TerminalView
 
 __all__ = ["AllocationDecision", "CSIRankedAllocator"]
 
@@ -106,7 +106,7 @@ class CSIRankedAllocator:
     def allocate(
         self,
         ranked_requests: Sequence[Request],
-        terminals_by_id: Dict[int, Terminal],
+        terminals_by_id: Dict[int, TerminalView],
         snapshot: ChannelSnapshot,
         frame_index: int,
     ) -> AllocationDecision:
@@ -294,7 +294,7 @@ class CSIRankedAllocator:
         return remaining is not None and remaining <= self._margin
 
     def _slots_for(
-        self, request: Request, terminal: Terminal, per_slot: int, slots_left: int
+        self, request: Request, terminal: TerminalView, per_slot: int, slots_left: int
     ) -> int:
         if request.kind.is_voice:
             return 1

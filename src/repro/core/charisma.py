@@ -50,7 +50,7 @@ from repro.mac.requests import (
 )
 from repro.phy.abicm import AdaptiveModem
 from repro.phy.csi import CSIEstimator
-from repro.traffic.terminal import Terminal
+from repro.traffic.population import TerminalView
 
 __all__ = ["CharismaProtocol"]
 
@@ -95,7 +95,7 @@ class CharismaProtocol(MACProtocol):
         # (``csi_rng``) so the macro engine can prefetch a whole block of
         # standard normals and roll unconsumed draws back without touching
         # the shared MAC stream.  Parity mode keeps the shared ``rng`` —
-        # the object backend's draw order — and the macro engine's inline
+        # the per-frame kernel's draw order — and the macro engine's inline
         # frame makes the same draws live, in the same order.  Either way
         # the inline frame computes the estimates itself, so a custom
         # ``csi_estimator`` keeps the per-frame kernel; so does fast mode
@@ -129,7 +129,7 @@ class CharismaProtocol(MACProtocol):
     def run_frame(
         self,
         frame_index: int,
-        terminals: Sequence[Terminal],
+        terminals: Sequence[TerminalView],
         snapshot: ChannelSnapshot,
     ) -> FrameOutcome:
         self.release_finished_reservations(terminals)

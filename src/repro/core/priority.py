@@ -86,8 +86,7 @@ class PriorityCalculator:
         """Vectorised priority evaluation over a frame's pending requests.
 
         One modem lookup over all estimated CSIs plus array urgency terms —
-        the per-request scalar path dominated CHARISMA's frame cost on the
-        columnar backend.
+        the per-request scalar path dominated CHARISMA's frame cost.
         """
         n = len(requests)
         if n == 0:

@@ -317,8 +317,9 @@ class KernelBranchedDrawRule(Rule):
     iterate unordered containers.
 
     The number and order of draws a kernel takes from its stream is part of
-    the cross-backend parity contract; a draw gated by simulation state
-    desynchronises the stream between backends the moment the gate differs.
+    the parity contract between the engine's stepping paths; a draw gated
+    by simulation state desynchronises the stream between paths the moment
+    the gate differs.
     Set/dict iteration makes emission order depend on hashing/insertion
     history — kernels iterate arrays, lists or ``sorted(...)`` views.
     Deliberate, parity-preserving gates must carry an explicit
@@ -369,7 +370,7 @@ class KernelBranchedDrawRule(Rule):
                                 f"`{kernel.qualname}`: the draw count/order "
                                 "must not depend on simulation state "
                                 "(suppress with a reason if the gate "
-                                "mirrors the object backend's order)",
+                                "mirrors the scalar per-terminal order)",
                             )
                         )
                 if isinstance(child, (ast.For, ast.AsyncFor)):

@@ -45,7 +45,7 @@ from repro.phy.abicm import AdaptiveModem
 from repro.phy.fixed import FixedRateModem
 from repro.traffic.packets import TrafficKind
 from repro.traffic.permission import PermissionPolicy
-from repro.traffic.terminal import Terminal
+from repro.traffic.population import TerminalView
 
 __all__ = ["MACProtocol", "Modem", "terminal_lookup", "traced_batch"]
 
@@ -82,7 +82,7 @@ class _DenseTerminalLookup:
 
     __slots__ = ("_terminals",)
 
-    def __init__(self, terminals: Sequence[Terminal]) -> None:
+    def __init__(self, terminals: Sequence[TerminalView]) -> None:
         self._terminals = terminals
 
     def get(self, terminal_id: int, default=None):
@@ -113,11 +113,11 @@ def snapshot_snr_compatible(modem, params: SimulationParameters) -> bool:
     return getattr(modem, "mean_snr_db", None) == params.mean_snr_db
 
 
-def terminal_lookup(terminals: Sequence[Terminal]):
+def terminal_lookup(terminals: Sequence[TerminalView]):
     """Return an id -> terminal mapping for a population sequence.
 
     Sequences that guarantee dense ids (``dense_ids`` attribute, e.g. the
-    columnar backend's :class:`~repro.traffic.population.TerminalViews`)
+    engine's :class:`~repro.traffic.population.TerminalViews`)
     get an O(1) index-based lookup; anything else falls back to the classic
     dict build, so arbitrary id layouts used in unit tests keep working.
     """
@@ -145,8 +145,9 @@ class MACProtocol(abc.ABC):
         Section 4.5.  Ignored for protocols that do not support one (RMAV).
     rng_mode:
         ``"parity"`` (default) keeps every stochastic decision's draw order
-        identical to the scalar object-backend path, so the array-native
-        ``run_frame_batch`` kernels stay bit-identical to ``run_frame``.
+        identical to the scalar per-terminal order of the view-walking
+        ``run_frame`` path, so the array-native ``run_frame_batch`` kernels
+        and the macro runner's inline frames stay bit-identical to it.
         ``"fast"`` lets the kernels batch a frame's draws into single calls
         against a dedicated contention child stream — statistically
         equivalent, not bit-identical.
@@ -244,13 +245,15 @@ class MACProtocol(abc.ABC):
     def run_frame(
         self,
         frame_index: int,
-        terminals: Sequence[Terminal],
+        terminals: Sequence[TerminalView],
         snapshot: ChannelSnapshot,
     ) -> FrameOutcome:
         """Run the request and allocation phases of one frame."""
 
     # ------------------------------------------------------------- helpers
-    def contention_candidates(self, terminals: Sequence[Terminal]) -> List[Terminal]:
+    def contention_candidates(
+        self, terminals: Sequence[TerminalView]
+    ) -> List[TerminalView]:
         """Terminals that would transmit a request this frame.
 
         * a voice terminal contends while it is in a talkspurt, has packets
@@ -262,7 +265,7 @@ class MACProtocol(abc.ABC):
         population = getattr(terminals, "population", None)
         if population is not None:
             return self._contention_candidates_columnar(terminals, population)
-        candidates: List[Terminal] = []
+        candidates: List[TerminalView] = []
         for terminal in terminals:
             if not terminal.has_pending_packets:
                 continue
@@ -279,13 +282,13 @@ class MACProtocol(abc.ABC):
         return candidates
 
     def _contention_candidates_columnar(
-        self, terminals: Sequence[Terminal], population
-    ) -> List[Terminal]:
+        self, terminals: Sequence[TerminalView], population
+    ) -> List[TerminalView]:
         """Array fast path of :meth:`contention_candidates`.
 
         Computes the candidate mask over the population arrays and returns
         the matching views in ascending id order — the same order (and the
-        same selection rule) as the per-object loop.
+        same selection rule) as the per-view loop.
         """
         mask = population.occupancy > 0
         voice_mask = population.is_voice
@@ -300,13 +303,13 @@ class MACProtocol(abc.ABC):
                     mask[request.terminal_id] = False
         return [terminals[i] for i in mask.nonzero()[0]]
 
-    def release_finished_reservations(self, terminals: Sequence[Terminal]) -> int:
+    def release_finished_reservations(self, terminals: Sequence[TerminalView]) -> int:
         """Release voice reservations whose talkspurt has ended."""
         return self.reservations.release_ended_talkspurts(terminals)
 
     def make_request(
         self,
-        terminal: Terminal,
+        terminal: TerminalView,
         frame_index: int,
         csi=None,
         is_reservation: bool = False,
@@ -347,7 +350,7 @@ class MACProtocol(abc.ABC):
         return mode.packets_per_slot(self.modem.mode_table.reference_throughput), mode.throughput
 
     def snapshot_snr_for(
-        self, snapshot: ChannelSnapshot, terminals: Sequence[Terminal]
+        self, snapshot: ChannelSnapshot, terminals: Sequence[TerminalView]
     ) -> Optional[List[float]]:
         """Per-terminal snapshot SNRs for a batched modem call, or ``None``.
 
@@ -395,7 +398,7 @@ class MACProtocol(abc.ABC):
 
     def build_allocation(
         self,
-        terminal: Terminal,
+        terminal: TerminalView,
         amplitude: float,
         n_slots: int,
         capacity: Optional[Tuple[int, Optional[float]]] = None,
@@ -417,7 +420,7 @@ class MACProtocol(abc.ABC):
         )
 
     def slots_needed_for_data(
-        self, terminal: Terminal, amplitude: float, slots_available: int
+        self, terminal: TerminalView, amplitude: float, slots_available: int
     ) -> int:
         """Slots a data grant should span to drain the terminal's buffer."""
         if slots_available <= 0:
@@ -428,7 +431,7 @@ class MACProtocol(abc.ABC):
 
     def allocate_reserved_voice(
         self,
-        terminals: Sequence[Terminal],
+        terminals: Sequence[TerminalView],
         snapshot: ChannelSnapshot,
         slots_available: int,
         allocations: List[Allocation],
@@ -462,7 +465,7 @@ class MACProtocol(abc.ABC):
             r for r in requests if not r.is_reservation
         )
 
-    def prune_queue(self, frame_index: int, terminals: Sequence[Terminal]) -> None:
+    def prune_queue(self, frame_index: int, terminals: Sequence[TerminalView]) -> None:
         """Drop queued requests that are no longer actionable.
 
         Expired voice requests are discarded (their packets have been dropped
@@ -499,8 +502,8 @@ class MACProtocol(abc.ABC):
         are bit-identical to :meth:`run_frame` (same decisions, same draw
         order); in fast mode they additionally batch a frame's random draws
         into single calls.  This default keeps custom protocol subclasses
-        working on the columnar engine backend by delegating to their
-        :meth:`run_frame` over the population's views.
+        working on the engine by delegating to their :meth:`run_frame` over
+        the population's views.
         """
         return self.run_frame(frame_index, population.views, snapshot)
 
@@ -510,7 +513,7 @@ class MACProtocol(abc.ABC):
         """Id-array twin of :meth:`contention_candidates`.
 
         Returns ``(ids, probabilities)``: the candidate terminal ids in
-        ascending order (the object loop's order) aligned with each
+        ascending order (the per-view loop's order) aligned with each
         candidate's permission probability — ready for
         :func:`~repro.mac.contention.run_contention_ids`.
         """

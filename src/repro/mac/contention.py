@@ -19,7 +19,7 @@ import numpy as np
 from repro.traffic.permission import PermissionPolicy
 from repro.lint.contracts import kernel
 from repro.obs import metrics as _metrics
-from repro.traffic.terminal import Terminal
+from repro.traffic.population import TerminalView
 
 __all__ = [
     "ContentionResult",
@@ -48,7 +48,7 @@ class ContentionResult:
         Number of minislots in which nobody transmitted.
     """
 
-    winners: List[Terminal] = field(default_factory=list)
+    winners: List[TerminalView] = field(default_factory=list)
     attempts: int = 0
     collisions: int = 0
     idle_slots: int = 0
@@ -61,7 +61,7 @@ class ContentionResult:
 
 @kernel
 def run_contention(
-    candidates: Sequence[Terminal],
+    candidates: Sequence[TerminalView],
     n_minislots: int,
     permission: PermissionPolicy,
     rng: np.random.Generator,
@@ -197,8 +197,8 @@ def run_contention_ids(
         # only on the rare minislots that produce a winner (whose later
         # transmissions must stop counting).
         # The fast gate only switches draw *shape*, never count: this
-        # path owns its child stream, so no object-backend parity is
-        # promised here.
+        # path owns its child stream, so no parity with the scalar draw
+        # order is promised here.
         # lint: allow[KRN001]
         transmitting = rng.random((n_minislots, n)) < probabilities
         counts = transmitting.sum(axis=1, dtype=np.int64)

@@ -28,7 +28,7 @@ from repro.mac.base import MACProtocol, terminal_lookup, traced_batch
 from repro.mac.contention import run_contention, run_contention_ids
 from repro.mac.frames import FrameStructure
 from repro.mac.requests import Acknowledgement, FrameOutcome, Request
-from repro.traffic.terminal import Terminal
+from repro.traffic.population import TerminalView
 
 __all__ = ["DRMAProtocol"]
 
@@ -77,7 +77,7 @@ class DRMAProtocol(MACProtocol):
     def run_frame(
         self,
         frame_index: int,
-        terminals: Sequence[Terminal],
+        terminals: Sequence[TerminalView],
         snapshot: ChannelSnapshot,
     ) -> FrameOutcome:
         self.release_finished_reservations(terminals)

@@ -27,7 +27,7 @@ from repro.mac.requests import (
     Request,
     RequestColumns,
 )
-from repro.traffic.terminal import Terminal
+from repro.traffic.population import TerminalView
 
 __all__ = ["DTDMAFRProtocol"]
 
@@ -59,7 +59,7 @@ class DTDMAFRProtocol(MACProtocol):
     def run_frame(
         self,
         frame_index: int,
-        terminals: Sequence[Terminal],
+        terminals: Sequence[TerminalView],
         snapshot: ChannelSnapshot,
     ) -> FrameOutcome:
         self.release_finished_reservations(terminals)

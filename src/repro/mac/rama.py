@@ -35,7 +35,7 @@ from repro.mac.requests import (
     Request,
     RequestColumns,
 )
-from repro.traffic.terminal import Terminal
+from repro.traffic.population import TerminalView
 
 __all__ = ["RAMAProtocol"]
 
@@ -84,7 +84,7 @@ class RAMAProtocol(MACProtocol):
     def run_frame(
         self,
         frame_index: int,
-        terminals: Sequence[Terminal],
+        terminals: Sequence[TerminalView],
         snapshot: ChannelSnapshot,
     ) -> FrameOutcome:
         self.release_finished_reservations(terminals)
@@ -102,7 +102,7 @@ class RAMAProtocol(MACProtocol):
         # (no permission-probability gating — collisions are avoided by the
         # auction itself).
         remaining = self.contention_candidates(terminals)
-        winners: List[Terminal] = []
+        winners: List[TerminalView] = []
         for auction_slot in range(self.frame_structure.request_minislots):
             if not remaining:
                 outcome.idle_request_slots += 1

@@ -18,7 +18,7 @@ from typing import Dict, Iterable, List, Optional
 
 import numpy as np
 
-from repro.traffic.terminal import Terminal
+from repro.traffic.population import TerminalView
 
 __all__ = ["ReservationTable"]
 
@@ -104,7 +104,7 @@ class ReservationTable:
         ids = ids[ids < len(population)]
         return ids[population.is_voice[ids] & (population.occupancy[ids] > 0)]
 
-    def release_ended_talkspurts(self, terminals: Iterable[Terminal]) -> int:
+    def release_ended_talkspurts(self, terminals: Iterable[TerminalView]) -> int:
         """Release reservations of voice terminals whose talkspurt has ended.
 
         A reservation is also released if the terminal has drained its buffer
@@ -150,11 +150,11 @@ class ReservationTable:
             self.release(int(terminal_id))
         return int(releasable.shape[0])
 
-    def reserved_terminals(self, terminals: Iterable[Terminal]) -> List[Terminal]:
+    def reserved_terminals(self, terminals: Iterable[TerminalView]) -> List[TerminalView]:
         """Reservation holders among ``terminals`` that have packets to send.
 
-        Returned in ascending terminal-id order (the object loop's order,
-        since populations are laid out by id); the columnar fast path only
+        Returned in ascending terminal-id order (populations are laid out
+        by id); the population fast path only
         touches the holders instead of the whole population.
         """
         population = getattr(terminals, "population", None)

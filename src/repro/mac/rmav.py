@@ -31,7 +31,7 @@ from repro.mac.base import MACProtocol, traced_batch
 from repro.mac.contention import run_contention, run_contention_ids
 from repro.mac.frames import FrameStructure
 from repro.mac.requests import Acknowledgement, FrameOutcome
-from repro.traffic.terminal import Terminal
+from repro.traffic.population import TerminalView
 
 __all__ = ["RMAVProtocol"]
 
@@ -68,7 +68,7 @@ class RMAVProtocol(MACProtocol):
     def run_frame(
         self,
         frame_index: int,
-        terminals: Sequence[Terminal],
+        terminals: Sequence[TerminalView],
         snapshot: ChannelSnapshot,
     ) -> FrameOutcome:
         self.release_finished_reservations(terminals)

@@ -161,8 +161,9 @@ class CSIEstimator:
         Consumes the random stream exactly as the equivalent sequence of
         :meth:`estimate` calls would (the estimation noise draw is batched;
         ``Generator.normal`` fills arrays element by element), so scalar and
-        batched estimation stay bit-identical — the property the columnar
-        engine's parity with the object backend relies on.
+        batched estimation stay bit-identical — the property the parity of
+        the engine's per-frame, block-stepped and view-walking paths relies
+        on.
         """
         amplitudes = np.asarray(true_amplitudes, dtype=float)
         if amplitudes.size == 0:

@@ -17,44 +17,39 @@ simulation platform" too).  Each call to :meth:`step` advances exactly one
 
 A warm-up period can be discarded so that measurements reflect steady state.
 
-Backends
---------
-Two interchangeable simulation cores implement the frame loop:
+Traffic state lives in a struct-of-arrays
+:class:`~repro.traffic.population.TerminalPopulation`, advanced by
+vectorised kernels; the frame's grants are transmitted through one batched
+:meth:`~repro.phy.error_model.PacketErrorModel.transmit_batch` call; and the
+MAC layer runs its array-native ``run_frame_batch`` kernels, emitting grants
+as :class:`~repro.mac.requests.GrantColumns` the engine consumes without
+materialising per-terminal views (``use_batch_mac=False`` forces the
+retained view-walking ``run_frame`` path for differential testing).
 
-* ``"columnar"`` (the default): traffic state lives in a struct-of-arrays
-  :class:`~repro.traffic.population.TerminalPopulation`, advanced by
-  vectorised kernels; the frame's grants are transmitted through one batched
-  :meth:`~repro.phy.error_model.PacketErrorModel.transmit_batch` call; and
-  the MAC layer runs its array-native ``run_frame_batch`` kernels, emitting
-  grants as :class:`~repro.mac.requests.GrantColumns` the engine consumes
-  without materialising per-terminal views (``use_batch_mac=False`` forces
-  the retained view-walking ``run_frame`` path for differential testing).
-* ``"object"``: the original per-:class:`~repro.traffic.terminal.Terminal`
-  Python loop, retained for differential testing.
-
-In the default ``rng_mode="parity"`` both backends (and both MAC paths)
-consume the run's random streams in exactly the same order (batched draws
-are stream-compatible with their scalar equivalents), so they produce
+In the default ``rng_mode="parity"`` every stepping path — per-frame
+:meth:`step`, macro blocks of any size, the view-walking MAC path — consumes
+the run's random streams in exactly the same order (batched draws are
+stream-compatible with their scalar equivalents), so they produce
 **bit-identical** :class:`~repro.sim.results.SimulationResult` values under
-a common seed; ``tests/sim/test_backend_parity.py`` asserts it for all six
-protocols.  ``rng_mode="fast"`` lets the columnar backend batch whole-frame
-draws from per-subsystem child streams instead — statistically equivalent,
-not bit-identical (see :class:`~repro.sim.scenario.Scenario`).
+a common seed; ``tests/sim/test_backend_parity.py`` asserts it, and the
+committed digests of ``tests/sim/test_golden_digests.py`` pin the numbers.
+``rng_mode="fast"`` batches whole-frame draws from per-subsystem child
+streams instead — statistically equivalent, not bit-identical (see
+:class:`~repro.sim.scenario.Scenario`).
 
 :meth:`UplinkSimulationEngine.run` (through :meth:`run_frames`) executes
-the columnar batch-MAC path in macro blocks (:mod:`repro.sim.macro`):
-always in parity mode, where blocks are bit-identical to per-frame
-:meth:`step` calls, and in fast mode when ``Scenario.macro_frames > 1``.
+the batch-MAC path in macro blocks (:mod:`repro.sim.macro`): always in
+parity mode, where blocks are bit-identical to per-frame :meth:`step`
+calls, and in fast mode when ``Scenario.macro_frames > 1``.
 
-Terminal ids must be dense (``terminal_id == population index``): both the
-:class:`~repro.channel.manager.ChannelSnapshot` row lookup and the columnar
-kernels index arrays by id.  The engine validates this at construction and
-raises a clear error for custom populations that violate it.
+Terminal ids are dense (``terminal_id == population index``) by
+construction: the :class:`~repro.channel.manager.ChannelSnapshot` rows and
+the population arrays are both indexed by id.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -71,9 +66,7 @@ from repro.phy.error_model import PacketErrorModel
 from repro.sim.results import SimulationResult
 from repro.sim.rng import RandomStreams
 from repro.sim.scenario import Scenario
-from repro.traffic.generator import build_population
 from repro.traffic.population import TerminalPopulation
-from repro.traffic.terminal import Terminal
 
 __all__ = ["UplinkSimulationEngine"]
 
@@ -85,7 +78,7 @@ class UplinkSimulationEngine:
     ----------
     scenario:
         The run description (protocol, traffic mix, queueing, seed, speed,
-        engine backend).
+        RNG mode).
     params:
         The shared simulation parameters (Table 1).
     protocol:
@@ -106,7 +99,7 @@ class UplinkSimulationEngine:
         scenario: Scenario,
         params: Optional[SimulationParameters] = None,
         protocol: Optional[MACProtocol] = None,
-        use_batch_mac: Optional[bool] = None,
+        use_batch_mac: bool = True,
         streams: Optional[RandomStreams] = None,
         beam: Optional[int] = None,
     ) -> None:
@@ -114,9 +107,8 @@ class UplinkSimulationEngine:
         self.params = params if params is not None else SimulationParameters()
         self.streams = streams if streams is not None else RandomStreams(scenario.seed)
         self.beam = None if beam is None else int(beam)
-        self.backend = scenario.engine_backend
         self.rng_mode = scenario.rng_mode
-        rng_fast = self.rng_mode == "fast" and self.backend == "columnar"
+        rng_fast = self.rng_mode == "fast"
 
         speed = (
             scenario.mobile_speed_kmh
@@ -136,29 +128,20 @@ class UplinkSimulationEngine:
             beam=self.beam,
         )
 
-        self.population: Optional[TerminalPopulation] = None
-        if self.backend == "columnar":
-            self.population = TerminalPopulation(
-                self.params,
-                scenario.n_voice,
-                scenario.n_data,
-                self.streams["traffic"],
-                rng_mode=self.rng_mode,
-                toggle_rng=(
-                    self.streams.child("traffic", "toggle") if rng_fast else None
-                ),
-                burst_rng=(
-                    self.streams.child("traffic", "burst") if rng_fast else None
-                ),
-                beam=self.beam,
-            )
-            self.terminals: Sequence = self.population.views
-        else:
-            self.terminals = build_population(
-                self.params, scenario.n_voice, scenario.n_data, self.streams["traffic"]
-            )
-        self._validate_dense_ids(self.terminals)
-        self._by_id: Dict[int, Terminal] = {t.terminal_id: t for t in self.terminals}
+        self.population = TerminalPopulation(
+            self.params,
+            scenario.n_voice,
+            scenario.n_data,
+            self.streams["traffic"],
+            rng_mode=self.rng_mode,
+            toggle_rng=(
+                self.streams.child("traffic", "toggle") if rng_fast else None
+            ),
+            burst_rng=(
+                self.streams.child("traffic", "burst") if rng_fast else None
+            ),
+            beam=self.beam,
+        )
 
         if protocol is None:
             protocol = create_protocol(
@@ -166,7 +149,7 @@ class UplinkSimulationEngine:
                 self.params,
                 self.streams["mac"],
                 use_request_queue=scenario.use_request_queue,
-                rng_mode=self.rng_mode if self.backend == "columnar" else "parity",
+                rng_mode=self.rng_mode,
                 contention_rng=(
                     self.streams.child("mac", "contention") if rng_fast else None
                 ),
@@ -175,15 +158,11 @@ class UplinkSimulationEngine:
                 ),
             )
         self.protocol = protocol
-        # The array-native MAC kernels drive the columnar backend by
-        # default; ``use_batch_mac=False`` forces the view-walking
-        # ``run_frame`` path instead (the kernel-equivalence suite compares
-        # the two head to head).
-        self._use_batch_mac = (
-            use_batch_mac
-            if use_batch_mac is not None
-            else self.backend == "columnar"
-        )
+        # The array-native MAC kernels drive the engine by default;
+        # ``use_batch_mac=False`` forces the view-walking ``run_frame`` path
+        # instead (the kernel-equivalence suite compares the two head to
+        # head).
+        self._use_batch_mac = use_batch_mac
         self.error_model = PacketErrorModel(self.protocol.modem, self.streams["error"])
         self._reuse_snapshot_snr = snapshot_snr_compatible(
             self.protocol.modem, self.params
@@ -205,14 +184,14 @@ class UplinkSimulationEngine:
         self._clock: Optional[PhaseRecorder] = None
         self._dispatch_counter = None
         self._macro = None
-        # Channel snapshots for the columnar backend are produced in blocks
+        # Channel snapshots are produced in blocks
         # (one batched draw + one linear-filter evaluation per block, bit
         # identical to per-frame advancing); the buffer holds the frames the
         # channel has produced ahead of the simulation.
         self._snapshot_buffer: List[ChannelSnapshot] = []
         self._snapshot_cursor = 0
 
-    #: Frames advanced per batched channel evaluation on the columnar backend.
+    #: Frames advanced per batched channel evaluation.
     CHANNEL_BLOCK_FRAMES = 64
     #: Frames per macro block of a parity-mode run.  A tuning constant, not
     #: a result-affecting setting: parity-mode block stepping is
@@ -232,9 +211,7 @@ class UplinkSimulationEngine:
             return self._step_timed()
         if self._clock is not None:  # tracer was uninstalled mid-run
             self._clock = None
-        if self.population is not None:
-            return self._step_columnar()
-        return self._step_object()
+        return self._step_frame()
 
     def _ensure_instrumented(self) -> None:
         """Keep :attr:`_clock` live and pointed at the current tracer.
@@ -305,55 +282,41 @@ class UplinkSimulationEngine:
         self._clock = None
 
     def _step_timed(self) -> FrameOutcome:
-        """Instrumented twin of the step bodies (kept in sync with both).
+        """Instrumented twin of :meth:`_step_frame` (kept in sync with it).
 
-        One implementation covers both backends: each phase call dispatches
-        on ``self.population`` exactly like the untimed paths, and the
-        clock brackets the same five sections (labelling them for the
+        The clock brackets the same five sections (labelling them for the
         optional dispatch counter).
         """
         clock = self._clock
         frame = self._frame_index
         population = self.population
-        columnar = population is not None
 
         clock.start("channel")
-        snapshot = self._next_snapshot() if columnar else self.channels.advance_frame()
+        snapshot = self._next_snapshot()
         clock.stop()
 
         clock.start("traffic")
-        if columnar:
-            voice_losses_before = population.voice_loss_total
-            population.advance_frame(frame)
-            population.drop_expired(frame)
-        else:
-            voice_losses_before = self._total_voice_losses()
-            for terminal in self.terminals:
-                terminal.advance_frame(frame)
-                terminal.drop_expired(frame)
+        voice_losses_before = population.voice_loss_total
+        population.advance_frame(frame)
+        population.drop_expired(frame)
         clock.stop()
 
         clock.start("mac")
-        if columnar and self._use_batch_mac:
+        if self._use_batch_mac:
             outcome = self.protocol.run_frame_batch(frame, population, snapshot)
         else:
-            outcome = self.protocol.run_frame(frame, self.terminals, snapshot)
+            outcome = self.protocol.run_frame(frame, population.views, snapshot)
         clock.stop()
 
         clock.start("phy")
-        if columnar and outcome.grants is not None:
+        if outcome.grants is not None:
             data_delivered = self._execute_grant_columns(outcome.grants, snapshot, frame)
-        elif columnar:
-            data_delivered = self._execute_allocations_batch(outcome, snapshot, frame)
         else:
-            data_delivered = self._execute_allocations(outcome, snapshot, frame)
+            data_delivered = self._execute_allocations_batch(outcome, snapshot, frame)
         clock.stop()
 
         clock.start("metrics")
-        if columnar:
-            voice_losses = population.voice_loss_total - voice_losses_before
-        else:
-            voice_losses = self._total_voice_losses() - voice_losses_before
+        voice_losses = population.voice_loss_total - voice_losses_before
         self.collector.record_frame(outcome, data_delivered, voice_losses)
         clock.stop()
         self._frame_index += 1
@@ -362,7 +325,7 @@ class UplinkSimulationEngine:
     def run_frames(self, n_frames: int) -> None:
         """Advance ``n_frames`` frames, block-stepped where applicable.
 
-        On the columnar backend's batch-MAC path, frames execute in macro
+        On the batch-MAC path, frames execute in macro
         blocks through :class:`~repro.sim.macro.MacroRunner`.  In
         ``rng_mode="parity"`` the block size is :attr:`MACRO_BLOCK_FRAMES`
         and the results are bit-identical to per-frame :meth:`step` calls,
@@ -397,7 +360,7 @@ class UplinkSimulationEngine:
 
     def _macro_runner(self):
         """The lazily built macro runner, or ``None`` when not applicable."""
-        if self.population is None or not self._use_batch_mac:
+        if not self._use_batch_mac:
             return None
         if self._macro is None:
             from repro.sim.macro import MacroRunner
@@ -419,7 +382,6 @@ class UplinkSimulationEngine:
         with tracer.span(
             "engine.run",
             protocol=self.scenario.protocol,
-            backend=self.backend,
             n_voice=self.scenario.n_voice,
             n_data=self.scenario.n_data,
             seed=self.scenario.seed,
@@ -458,66 +420,14 @@ class UplinkSimulationEngine:
 
     def collect_results(self) -> SimulationResult:
         """Aggregate the metrics collected since the last statistics reset."""
-        source = self.population if self.population is not None else self.terminals
         return SimulationResult(
             scenario=self.scenario,
-            voice=self.collector.voice_metrics(source),
-            data=self.collector.data_metrics(source),
+            voice=self.collector.voice_metrics(self.population),
+            data=self.collector.data_metrics(self.population),
             mac=self.collector.mac_stats(),
         )
 
-    # ------------------------------------------------------- object backend
-    def _step_object(self) -> FrameOutcome:
-        frame = self._frame_index
-        snapshot = self.channels.advance_frame()
-
-        voice_losses_before = self._total_voice_losses()
-        for terminal in self.terminals:
-            terminal.advance_frame(frame)
-            terminal.drop_expired(frame)
-
-        outcome = self.protocol.run_frame(frame, self.terminals, snapshot)
-        data_delivered = self._execute_allocations(outcome, snapshot, frame)
-
-        voice_losses = self._total_voice_losses() - voice_losses_before
-        self.collector.record_frame(outcome, data_delivered, voice_losses)
-        self._frame_index += 1
-        return outcome
-
-    def _execute_allocations(
-        self, outcome: FrameOutcome, snapshot: ChannelSnapshot, frame: int
-    ) -> int:
-        """Transmit the granted packets through the channel; return data deliveries."""
-        data_delivered = 0
-        for allocation in outcome.allocations:
-            terminal = self._by_id.get(allocation.terminal_id)
-            if terminal is None or not terminal.has_pending_packets:
-                continue
-            amplitude = snapshot.amplitude_of(allocation.terminal_id)
-            n_to_send = min(allocation.packet_capacity, terminal.buffer_occupancy)
-            delivered = self.error_model.transmit_packets(
-                amplitude, n_to_send, throughput=allocation.throughput
-            )
-            taken = terminal.transmit(
-                max_packets=allocation.packet_capacity,
-                n_delivered=delivered,
-                current_frame=frame,
-            )
-            if terminal.is_data:
-                data_delivered += delivered
-            # ``taken`` is only used for defensive consistency checking: the
-            # terminal must never consume more packets than the grant allowed.
-            assert taken <= allocation.packet_capacity
-        return data_delivered
-
-    def _total_voice_losses(self) -> int:
-        return sum(
-            t.stats.voice_dropped + t.stats.voice_errored
-            for t in self.terminals
-            if t.is_voice
-        )
-
-    # ----------------------------------------------------- columnar backend
+    # ----------------------------------------------------------- frame loop
     def _next_snapshot(self) -> ChannelSnapshot:
         if self._snapshot_cursor >= len(self._snapshot_buffer):
             self._snapshot_buffer = self.channels.advance_block(
@@ -528,7 +438,7 @@ class UplinkSimulationEngine:
         self._snapshot_cursor += 1
         return snapshot
 
-    def _step_columnar(self) -> FrameOutcome:
+    def _step_frame(self) -> FrameOutcome:
         frame = self._frame_index
         population = self.population
         snapshot = self._next_snapshot()
@@ -540,7 +450,7 @@ class UplinkSimulationEngine:
         if self._use_batch_mac:
             outcome = self.protocol.run_frame_batch(frame, population, snapshot)
         else:
-            outcome = self.protocol.run_frame(frame, self.terminals, snapshot)
+            outcome = self.protocol.run_frame(frame, population.views, snapshot)
         if outcome.grants is not None:
             data_delivered = self._execute_grant_columns(outcome.grants, snapshot, frame)
         else:
@@ -632,8 +542,9 @@ class UplinkSimulationEngine:
         protocols except DRMA's multi-win frames — is one fancy-indexed
         channel gather, one :meth:`transmit_batch` call and one
         :meth:`apply_grants` pass.  Duplicate-terminal frames fall back to
-        the same flush-between-duplicates discipline as the object path, so
-        RNG draw order and buffer semantics stay bit-identical either way.
+        the same flush-between-duplicates discipline as
+        :meth:`_execute_allocations_batch`, so RNG draw order and buffer
+        semantics stay bit-identical either way.
         """
         ids = grants.terminal_ids
         if not ids:
@@ -743,28 +654,6 @@ class UplinkSimulationEngine:
         return data_delivered
 
     # ------------------------------------------------------------ internals
-    def _validate_dense_ids(self, terminals: Sequence) -> None:
-        """Require ``terminal_id == index`` (0..n-1) across the population.
-
-        The channel snapshot, the columnar arrays and the MAC fast paths all
-        index per-user state by terminal id; a sparse or permuted id layout
-        would silently read the wrong user's channel.  This was previously
-        an implicit assumption — now it fails fast with a clear error.
-        """
-        for index, terminal in enumerate(terminals):
-            if terminal.terminal_id != index:
-                where = (
-                    "" if self.beam is None
-                    else f" (beam {self.beam}: ids are beam-local within the "
-                         f"shard, not global constellation ids)"
-                )
-                raise ValueError(
-                    f"terminal ids must be dense 0..n-1 (id == population "
-                    f"index): found id {terminal.terminal_id} at index "
-                    f"{index}{where}; channel rows and columnar kernels "
-                    f"index per-user state by terminal id"
-                )
-
     def _reset_statistics(self) -> None:
         # Outcomes must be attributed to the same measurement window as the
         # generation events, or conservation (delivered + errored + dropped
@@ -776,9 +665,5 @@ class UplinkSimulationEngine:
         # counter (generated stays the pure in-window traffic, which also
         # keeps common-random-number traffic realisations comparable across
         # protocols).
-        if self.population is not None:
-            self.population.begin_measurement(self._frame_index)
-        else:
-            for terminal in self.terminals:
-                terminal.begin_measurement(self._frame_index)
+        self.population.begin_measurement(self._frame_index)
         self.collector.reset()

@@ -35,27 +35,28 @@ class Scenario:
         Optional override of the population's mobile speed (the Section 5.3.3
         speed ablation); ``None`` keeps the parameter default.
     engine_backend:
-        Simulation-core implementation: ``"columnar"`` (default) drives the
+        Simulation-core implementation.  Only ``"columnar"`` exists: the
         struct-of-arrays :class:`~repro.traffic.population.TerminalPopulation`
-        kernels and the batched PHY; ``"object"`` walks per-terminal Python
-        objects.  Both produce bit-identical results under a common seed
-        (the columnar kernels preserve the RNG call order); the object
-        backend is retained for differential testing.
+        kernels and the batched PHY.  The field stays because it is part of
+        every result payload and digest (``dataclasses.asdict``); the
+        per-terminal ``"object"`` backend it once selected was removed, and
+        the name is rejected with a message saying so.
     rng_mode:
-        Random-draw batching contract of the columnar backend.  ``"parity"``
-        (default) preserves the object backend's scalar RNG call order
-        exactly, so both backends stay bit-identical under a common seed —
-        the mode the differential suite and any paired cross-backend
-        comparison must use.  ``"fast"`` relaxes the ordering: stochastic
-        subsystems draw from independent per-subsystem child streams (see
-        :func:`repro.sim.rng.child_stream`) and batch a whole frame's draws
-        into single calls.  Fast-mode runs are statistically equivalent to
-        parity-mode runs (seed-averaged metrics agree within confidence
-        intervals; asserted by ``tests/sim/test_rng_fast_mode.py``) but not
-        bit-identical, which is the right trade for paper-scale sweeps.
-        Ignored by the object backend.
+        Random-draw batching contract.  ``"parity"`` (default) draws every
+        stochastic decision from the shared per-subsystem streams in the
+        scalar per-terminal, per-frame call order, so per-frame stepping,
+        macro blocks of any size and the view-walking MAC path are all
+        bit-identical under a common seed (pinned by the golden digests of
+        ``tests/sim/test_golden_digests.py``).  ``"fast"`` relaxes the
+        ordering: stochastic subsystems draw from independent
+        per-subsystem child streams (see :func:`repro.sim.rng.child_stream`)
+        and batch a whole frame's draws into single calls.  Fast-mode runs
+        are statistically equivalent to parity-mode runs (seed-averaged
+        metrics agree within confidence intervals; asserted by
+        ``tests/sim/test_rng_fast_mode.py``) but not bit-identical, which
+        is the right trade for paper-scale sweeps.
     macro_frames:
-        Macro-stepping block size of the columnar backend's frame loop in
+        Macro-stepping block size of the frame loop in
         ``rng_mode="fast"``: ``1`` (default) advances frame by frame;
         larger values execute blocks of up to this many frames with fused
         multi-frame kernels — the traffic plan is drawn for the whole block
@@ -72,7 +73,7 @@ class Scenario:
         ``tests/sim/test_golden_digests.py``).  The field stays part of
         the scenario, and so of every result payload and digest.  A
         constellation also uses it as its coupling interval.  Ignored by
-        the object backend and by the view-walking MAC path.
+        the view-walking MAC path.
     """
 
     protocol: str
@@ -100,10 +101,14 @@ class Scenario:
             raise ValueError("seed must be non-negative")
         if self.mobile_speed_kmh is not None and self.mobile_speed_kmh < 0:
             raise ValueError("mobile_speed_kmh must be non-negative")
-        if self.engine_backend not in ("columnar", "object"):
+        if self.engine_backend == "object":
             raise ValueError(
-                f"engine_backend must be 'columnar' or 'object', "
-                f"got {self.engine_backend!r}"
+                "engine_backend 'object' was removed: the per-terminal object "
+                "backend no longer exists; use 'columnar' (the default)"
+            )
+        if self.engine_backend != "columnar":
+            raise ValueError(
+                f"engine_backend must be 'columnar', got {self.engine_backend!r}"
             )
         if self.rng_mode not in ("parity", "fast"):
             raise ValueError(

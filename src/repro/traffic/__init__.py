@@ -1,4 +1,4 @@
-"""Traffic substrate: voice/data sources, packets, terminals and contention gating.
+"""Traffic substrate: the terminal population, packets and contention gating.
 
 The paper's system model (Section 2) has exactly two request types:
 
@@ -18,40 +18,32 @@ Public classes
 --------------
 :class:`~repro.traffic.packets.Packet` and :class:`~repro.traffic.packets.TrafficKind`
     The unit of transmission and its service class.
-:class:`~repro.traffic.voice.VoiceSource` / :class:`~repro.traffic.data.DataSource`
-    Frame-synchronous packet generators.
-:class:`~repro.traffic.terminal.Terminal`, ``VoiceTerminal``, ``DataTerminal``
-    A mobile device: source + transmit buffer + per-terminal statistics.
 :class:`~repro.traffic.permission.PermissionPolicy`
     The ``p_v`` / ``p_d`` gating of request transmissions.
-:func:`~repro.traffic.generator.build_population`
-    Factory creating the mixed voice/data terminal population of a scenario.
 :class:`~repro.traffic.population.TerminalPopulation`
-    Struct-of-arrays population state driving the columnar engine backend
-    (with :class:`~repro.traffic.population.TerminalView` per-index views).
+    The struct-of-arrays state of a scenario's whole terminal population:
+    the on/off voice and bursty data source models, the transmit buffers
+    and the per-terminal outcome counters (read per terminal as
+    :class:`~repro.traffic.population.TerminalStats`), with
+    :class:`~repro.traffic.population.TerminalView` per-index views for the
+    MAC layer's view-walking path.
 """
 
-from repro.traffic.data import DataSource
-from repro.traffic.generator import build_population
 from repro.traffic.packets import Packet, TrafficKind
 from repro.traffic.permission import PermissionPolicy
-from repro.traffic.population import TerminalPopulation, TerminalView, TerminalViews
-from repro.traffic.terminal import DataTerminal, Terminal, TerminalStats, VoiceTerminal
-from repro.traffic.voice import VoiceActivity, VoiceSource
+from repro.traffic.population import (
+    TerminalPopulation,
+    TerminalStats,
+    TerminalView,
+    TerminalViews,
+)
 
 __all__ = [
-    "DataSource",
-    "DataTerminal",
     "Packet",
     "PermissionPolicy",
-    "Terminal",
     "TerminalPopulation",
     "TerminalStats",
     "TerminalView",
     "TerminalViews",
     "TrafficKind",
-    "VoiceActivity",
-    "VoiceSource",
-    "VoiceTerminal",
-    "build_population",
 ]

@@ -1,38 +1,45 @@
-"""Struct-of-arrays terminal population for the columnar engine backend.
+"""Struct-of-arrays terminal population: every mobile device of a cell.
 
-The object backend walks one Python :class:`~repro.traffic.terminal.Terminal`
-per user per 2.5 ms frame, which dominates the run time at paper scale
-(tens of thousands of frames x up to ~200 terminals x six protocols).
 :class:`TerminalPopulation` keeps the whole population's traffic state in
 NumPy arrays — buffer occupancy, head-of-line created frames, talkspurt and
 burst countdowns, per-kind outcome counters — and advances it with a handful
 of vectorised operations per frame, looping in Python only over the rare
 *events* of a frame (talkspurt toggles, burst arrivals, deadline expiries,
-grants).
+grants).  It is the simulation's only terminal representation.
 
-RNG-stream compatibility
-------------------------
-The population draws from the same ``traffic`` stream as the object
-population, in exactly the same order:
+Traffic model (paper Section 2)
+-------------------------------
+* voice terminals alternate between exponentially distributed talkspurts
+  and silences; during a talkspurt one packet is generated every
+  ``frames_per_voice_period`` frames, and a buffered voice packet is
+  dropped once its 20 ms deadline has passed;
+* data terminals receive bursts of ``max(1, round(Exp(mean burst)))``
+  packets with exponential inter-arrival times; data packets are never
+  dropped, a corrupted one stays buffered for retransmission.
+
+RNG-stream contract
+-------------------
+In ``rng_mode="parity"`` the population draws from the run's ``traffic``
+stream in a fixed scalar order:
 
 * construction draws one exponential per voice terminal (initial silence)
-  followed by one per data terminal (initial inter-arrival), like
-  :func:`~repro.traffic.generator.build_population`;
+  followed by one per data terminal (initial inter-arrival);
 * :meth:`advance_frame` draws scalar exponentials only for the terminals
-  whose state toggles this frame, in ascending terminal-id order — the same
-  order in which the engine's object loop would reach them (voice ids always
-  precede data ids).
+  whose state toggles this frame, in ascending terminal-id order (voice
+  ids always precede data ids) — a talkspurt/silence duration per voice
+  toggle, a burst size then an inter-arrival per data burst.
 
-Because of this the columnar backend is *bit-identical* to the object
-backend under a common seed; the differential tests in
-``tests/sim/test_backend_parity.py`` assert exactly that.
+:meth:`plan_frames` replays the same order for a whole macro block, so
+block stepping is bit-identical to per-frame advancing; the golden digests
+of ``tests/sim/test_golden_digests.py`` and the closed-form checks of
+``tests/traffic/test_population.py`` pin the order and the model.
 
-MAC protocols keep working unchanged: :class:`TerminalView` is a thin
-per-index view exposing the read API of :class:`Terminal` (occupancy, head
-deadlines, talkspurt state, statistics) backed by the arrays, and
-:class:`TerminalViews` is the sequence of views the engine hands to
-``protocol.run_frame``.  Its ``population`` attribute is the capability flag
-the MAC layer's vectorised fast paths key on.
+MAC protocols' view-walking ``run_frame`` path reads the population through
+:class:`TerminalView`, a thin per-index view exposing a terminal's read API
+(occupancy, head deadlines, talkspurt state, statistics) backed by the
+arrays, and :class:`TerminalViews`, the sequence of views the engine hands
+to ``protocol.run_frame``.  Its ``population`` attribute is the capability
+flag the MAC layer's vectorised fast paths key on.
 """
 
 from __future__ import annotations
@@ -52,11 +59,11 @@ from repro.accel import (
 from repro.config import SimulationParameters
 from repro.lint.contracts import kernel
 from repro.traffic.packets import Packet, TrafficKind
-from repro.traffic.terminal import TerminalStats
 
 __all__ = [
     "TerminalMigrationState",
     "TerminalPopulation",
+    "TerminalStats",
     "TerminalView",
     "TerminalViews",
     "TrafficBlockPlan",
@@ -64,6 +71,27 @@ __all__ = [
 
 #: Sentinel for "no buffered voice packet can expire" (see ``drop_expired``).
 _NO_DROP = 1 << 62
+
+
+@dataclass
+class TerminalStats:
+    """One terminal's transmission and loss counters.
+
+    Voice packets that miss their deadline are *dropped*; transmitted voice
+    packets corrupted by the channel are *errored* — the paper's packet loss
+    rate (equation (3)) combines both.  Data packets are never dropped; a
+    corrupted data packet is retransmitted, and its access delay keeps
+    growing until the first error-free transmission.
+    """
+
+    voice_generated: int = 0
+    voice_delivered: int = 0
+    voice_errored: int = 0
+    voice_dropped: int = 0
+    data_generated: int = 0
+    data_delivered: int = 0
+    data_retransmissions: int = 0
+    data_delay_frames: List[int] = field(default_factory=list)
 
 
 @dataclass
@@ -131,9 +159,10 @@ class TerminalPopulation:
 
     Voice terminals occupy indices ``0 .. n_voice-1`` and data terminals the
     following ``n_data`` indices, so a terminal's id doubles as its row in
-    every array and in the :class:`~repro.channel.manager.ChannelManager` —
-    the same dense layout :func:`~repro.traffic.generator.build_population`
-    produces.
+    every array and in the :class:`~repro.channel.manager.ChannelManager`.
+    Every voice terminal starts in a silence period of random (exponential)
+    length, so talkspurts ramp up during the warm-up instead of the whole
+    population contending in the first frames.
 
     Parameters
     ----------
@@ -142,8 +171,8 @@ class TerminalPopulation:
     n_voice, n_data:
         Population sizes per service class.
     rng:
-        The run's ``traffic`` random stream (shared with the object
-        population; the draw order is identical, see the module docstring).
+        The run's ``traffic`` random stream (draw order: see the module
+        docstring).
     """
 
     def __init__(
@@ -165,8 +194,8 @@ class TerminalPopulation:
         self._rng = rng
         # Fast RNG mode batches each frame's event draws (talkspurt/silence
         # toggles, burst arrivals) into single calls against dedicated child
-        # streams; parity mode replays the object backend's scalar draw
-        # order from the shared traffic stream.  Construction draws always
+        # streams; parity mode draws scalars in ascending-id order from the
+        # shared traffic stream.  Construction draws always
         # come from the shared stream, so the initial population state is
         # identical in both modes.
         self._rng_fast = rng_mode == "fast"
@@ -191,7 +220,7 @@ class TerminalPopulation:
         self.is_voice[: self.n_voice] = True
         self.is_data_mask = ~self.is_voice
 
-        # Talkspurt/burst state machines (columnar mirror of Voice/DataSource).
+        # Talkspurt/burst state machines of the voice and data sources.
         # ``countdown`` unifies the two per-terminal timers — frames to the
         # next talkspurt/silence toggle for voice rows, frames to the next
         # burst arrival for data rows — so one vector compare per frame
@@ -213,7 +242,7 @@ class TerminalPopulation:
         self.head_created = np.full(n, -1, dtype=np.int64)
         self._segments: List[Deque[List[int]]] = [deque() for _ in range(n)]
 
-        # Per-terminal outcome counters (the columnar TerminalStats).
+        # Per-terminal outcome counters (read per terminal as TerminalStats).
         self.voice_generated = np.zeros(n, dtype=np.int64)
         self.voice_delivered = np.zeros(n, dtype=np.int64)
         self.voice_errored = np.zeros(n, dtype=np.int64)
@@ -230,7 +259,7 @@ class TerminalPopulation:
         # per-frame deadline scan costs nothing while no voice backlog ages.
         self._next_drop_frame = _NO_DROP
 
-        # Initial state draws, in build_population order: every voice
+        # Initial state draws, voice rows first: every voice
         # terminal starts in a silence period of random exponential length,
         # every data terminal draws its first burst inter-arrival.
         mean_silence = params.mean_silence_s
@@ -268,7 +297,7 @@ class TerminalPopulation:
 
         Vectorised counters, with scalar RNG draws only for the terminals
         whose on/off state toggles or whose burst arrives this frame — in
-        ascending id order, matching the object backend's draw order.
+        ascending id order (the parity draw order of the module docstring).
         """
         if frame_index < 0:
             raise ValueError("frame_index must be non-negative")
@@ -286,16 +315,14 @@ class TerminalPopulation:
             if self._rng_fast:
                 self._fire_events_fast(events, frame_index)
             else:
-                # Ascending index order keeps the scalar draws in exactly
-                # the object backend's per-terminal order (voice ids precede
-                # data).
+                # Ascending index order is the parity draw order (voice ids
+                # precede data).
                 for i in events.nonzero()[0]:
                     if i < nv:
                         if self.in_talkspurt[i]:
                             self.in_talkspurt[i] = False
-                            # Per-terminal draw order matches the object
-                            # backend exactly (ascending index, voice
-                            # before data).
+                            # Parity draw order: ascending index, voice
+                            # before data.
                             # lint: allow[KRN001]
                             duration = rng.exponential(params.mean_silence_s)
                         else:
@@ -779,8 +806,7 @@ class TerminalPopulation:
         """Drop buffered voice packets whose 20 ms deadline has passed.
 
         Returns the total number of packets removed; only in-window drops
-        count towards the statistics, exactly like
-        :meth:`Terminal.drop_expired`.  Frames at which no buffered voice
+        count towards the statistics.  Frames at which no buffered voice
         packet can yet have expired (tracked via a conservative
         next-expiry lower bound) return without touching any array.
         """
@@ -838,10 +864,10 @@ class TerminalPopulation:
     ) -> int:
         """Record a transmission opportunity's outcome for one terminal.
 
-        Mirrors :meth:`Terminal.transmit` exactly, including the measurement
-        -window filtering of outcomes: voice pops every transmitted packet
-        (errored ones are lost), data pops only the delivered ones and
-        counts the rest as retransmissions.
+        Outcomes are filtered by the measurement window: voice pops every
+        transmitted packet (errored ones are lost, the 20 ms bound leaves no
+        room for ARQ), data pops only the delivered ones, records each one's
+        access delay and counts the rest as retransmissions.
         """
         if max_packets < 0:
             raise ValueError("max_packets must be non-negative")
@@ -1096,8 +1122,8 @@ class TerminalPopulation:
 class TerminalView:
     """Thin per-index read/transmit view over a :class:`TerminalPopulation`.
 
-    Exposes the :class:`~repro.traffic.terminal.Terminal` API the MAC layer
-    and the engine consume, backed by the population arrays.  State advance
+    Exposes the per-terminal API the MAC layer's view-walking path
+    consumes, backed by the population arrays.  State advance
     must go through the population's vectorised kernels (advancing a single
     view would reorder the shared RNG stream), so :meth:`advance_frame` and
     :meth:`drop_expired` raise.
@@ -1178,7 +1204,7 @@ class TerminalView:
     def begin_measurement(self, frame_index: int) -> None:
         """Unsupported per view: the window is population-wide."""
         raise RuntimeError(
-            "begin_measurement is population-wide on the columnar backend; "
+            "begin_measurement is population-wide; "
             "call TerminalPopulation.begin_measurement instead"
         )
 
@@ -1205,9 +1231,9 @@ class TerminalView:
 class TerminalViews(Sequence):
     """Sequence of :class:`TerminalView` handed to ``protocol.run_frame``.
 
-    Iteration order is ascending terminal id, matching the object backend's
-    population list.  The ``population`` attribute (and ``dense_ids`` flag)
-    let the MAC layer's fast paths swap per-object loops for array kernels.
+    Iteration order is ascending terminal id.  The ``population`` attribute
+    (and ``dense_ids`` flag)
+    let the MAC layer's fast paths swap per-view loops for array kernels.
     """
 
     #: Terminal ids are guaranteed dense 0..n-1 (id == sequence index).

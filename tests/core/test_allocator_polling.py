@@ -55,7 +55,7 @@ class TestCSIRankedAllocator:
         )
 
     def test_never_exceeds_slot_budget(self):
-        terminals = {i: data_terminal_with_packets(i, 100, seed=i) for i in range(6)}
+        terminals = {i: data_terminal_with_packets(i, 100) for i in range(6)}
         requests = [request_for(t, 2.0) for t in terminals.values()]
         decision = allocator(n_slots=5).allocate(
             requests, terminals, make_snapshot([2.0] * 6), 0
@@ -90,7 +90,7 @@ class TestCSIRankedAllocator:
         assert decision.allocations[0].throughput == MODEM.mode_table[0].throughput
 
     def test_unserved_when_out_of_slots(self):
-        terminals = {i: voice_terminal_with_packet(i, seed=i) for i in range(4)}
+        terminals = {i: voice_terminal_with_packet(i) for i in range(4)}
         requests = [request_for(t, 1.0, deadline=8) for t in terminals.values()]
         decision = allocator(n_slots=2).allocate(
             requests, terminals, make_snapshot([1.0] * 4), 0

@@ -9,6 +9,7 @@ from repro.phy.csi import CSIEstimator
 from repro.phy.fixed import FixedRateModem
 from tests.utils import (
     PARAMS,
+    clear_buffer,
     data_terminal_with_packets,
     make_snapshot,
     population_snapshot,
@@ -59,7 +60,7 @@ class TestRequestAndAllocation:
         params = EAGER.with_overrides(n_info_slots=1)
         protocol = charisma(params=params, use_queue=True)
         good = data_terminal_with_packets(0, 3, params=params)
-        faded = data_terminal_with_packets(1, 3, params=params, seed=1)
+        faded = data_terminal_with_packets(1, 3, params=params)
         # Both requests already survived contention in an earlier frame.
         protocol.request_queue.push(protocol.make_request(faded, 0))
         protocol.request_queue.push(protocol.make_request(good, 0))
@@ -88,7 +89,7 @@ class TestRequestAndAllocation:
 
     def test_slot_budget_never_exceeded(self):
         protocol = charisma()
-        terminals = [data_terminal_with_packets(i, 50, params=EAGER, seed=i)
+        terminals = [data_terminal_with_packets(i, 50, params=EAGER)
                      for i in range(12)]
         outcome = protocol.run_frame(
             0, terminals, population_snapshot(terminals, 1.5)
@@ -106,7 +107,7 @@ class TestRequestQueueBehaviour:
     def test_unserved_requests_queued(self):
         params = EAGER.with_overrides(n_info_slots=1)
         protocol = charisma(use_queue=True, params=params)
-        terminals = [data_terminal_with_packets(i, 10, params=params, seed=i)
+        terminals = [data_terminal_with_packets(i, 10, params=params)
                      for i in range(2)]
         # Only one can win contention per minislot with p=1? Two contenders
         # always collide; grant one a queued request directly instead.
@@ -129,7 +130,7 @@ class TestRequestQueueBehaviour:
         params = EAGER.with_overrides(n_info_slots=1)
         protocol = charisma(use_queue=False, params=params)
         assert protocol.request_queue is None
-        terminals = [data_terminal_with_packets(i, 10, params=params, seed=i)
+        terminals = [data_terminal_with_packets(i, 10, params=params)
                      for i in range(1)]
         outcome = protocol.run_frame(0, terminals, population_snapshot(terminals, 1.0))
         assert outcome.queued_requests == 0
@@ -147,7 +148,7 @@ class TestReservationLifecycle:
     def test_reservation_released_after_talkspurt(self):
         protocol = charisma()
         terminal = voice_terminal_with_packet(0, params=EAGER, in_talkspurt=False)
-        terminal._buffer.clear()
+        clear_buffer(terminal)
         protocol.reservations.grant(0, 0)
         protocol.run_frame(1, [terminal], population_snapshot([terminal], 1.0))
         assert not protocol.reservations.has(0)

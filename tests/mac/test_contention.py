@@ -71,7 +71,7 @@ class TestRunContention:
     def test_conservation_property(self, n_candidates, n_slots, p):
         """Winners + collisions + idle slots account for every minislot, and a
         terminal can win at most once."""
-        terminals = [data_terminal_with_packets(i, 3, seed=i) for i in range(n_candidates)]
+        terminals = [data_terminal_with_packets(i, 3) for i in range(n_candidates)]
         result = run_contention(
             terminals, n_slots, policy(pd=p, pv=p, seed=3), np.random.default_rng(3)
         )

@@ -73,16 +73,19 @@ class TestKernelEquivalence:
                 )
         assert saw_grants
 
-    @pytest.mark.parametrize("backend", ["columnar", "object"])
-    def test_timed_step_mirrors_untimed_step(self, backend):
+    @pytest.mark.parametrize("use_batch_mac", [True, False],
+                             ids=["batch", "views"])
+    def test_timed_step_mirrors_untimed_step(self, use_batch_mac):
         """The instrumented ``_step_timed`` body must stay in sync with the
-        real step paths: identical per-frame outcomes and final results on
-        both backends, with every phase accumulating time."""
+        real step path: identical per-frame outcomes and final results on
+        both MAC paths, with every phase accumulating time."""
         scenario = Scenario(protocol="charisma", n_voice=8, n_data=3,
                             use_request_queue=True, duration_s=0.4,
-                            warmup_s=0.1, seed=6, engine_backend=backend)
-        timed = UplinkSimulationEngine(scenario, PARAMS)
-        plain = UplinkSimulationEngine(scenario, PARAMS)
+                            warmup_s=0.1, seed=6)
+        timed = UplinkSimulationEngine(scenario, PARAMS,
+                                       use_batch_mac=use_batch_mac)
+        plain = UplinkSimulationEngine(scenario, PARAMS,
+                                       use_batch_mac=use_batch_mac)
         phases = timed.enable_phase_timing()
         for _ in range(150):
             assert timed.step() == plain.step()
@@ -93,8 +96,8 @@ class TestKernelEquivalence:
         assert all(seconds > 0.0 for seconds in phases.values())
 
     def test_base_class_fallback_delegates_to_run_frame(self):
-        """Protocols without a batch kernel keep working on the columnar
-        backend: the MACProtocol default drives their run_frame over the
+        """Protocols without a batch kernel keep working on the engine:
+        the MACProtocol default drives their run_frame over the
         population's views and produces the exact view-path outcome."""
         from repro.mac.base import MACProtocol
 

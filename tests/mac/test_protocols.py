@@ -8,6 +8,7 @@ from repro.mac.registry import available_protocols, build_modem, create_protocol
 from tests.utils import (
     PARAMS,
     build_protocol,
+    clear_buffer,
     data_terminal_with_packets,
     population_snapshot,
     voice_terminal_with_packet,
@@ -56,7 +57,7 @@ class TestSharedBaseBehaviour:
         talker = voice_terminal_with_packet(0, params=EAGER)
         reserved = voice_terminal_with_packet(1, params=EAGER)
         idle = voice_terminal_with_packet(2, params=EAGER, in_talkspurt=False)
-        idle._buffer.clear()
+        clear_buffer(idle)
         data = data_terminal_with_packets(3, 5, params=EAGER)
         protocol.reservations.grant(1, 0)
         candidates = protocol.contention_candidates([talker, reserved, idle, data])
@@ -104,8 +105,8 @@ class TestDTDMAFR:
     def test_voice_served_before_data(self):
         protocol = build_protocol("dtdma_fr", params=EAGER)
         # more contenders than info slots: every info slot should go to voice
-        voices = [voice_terminal_with_packet(i, params=EAGER, seed=i) for i in range(10)]
-        data = [data_terminal_with_packets(10 + i, 50, params=EAGER, seed=i) for i in range(3)]
+        voices = [voice_terminal_with_packet(i, params=EAGER) for i in range(10)]
+        data = [data_terminal_with_packets(10 + i, 50, params=EAGER) for i in range(3)]
         outcome = run_single_frame(protocol, voices + data)
         voice_ids = {t.terminal_id for t in voices}
         allocated_voice = sum(a.terminal_id in voice_ids for a in outcome.allocations)
@@ -114,7 +115,7 @@ class TestDTDMAFR:
 
     def test_never_allocates_more_than_info_slots(self):
         protocol = build_protocol("dtdma_fr", params=EAGER)
-        terminals = [voice_terminal_with_packet(i, params=EAGER, seed=i) for i in range(30)]
+        terminals = [voice_terminal_with_packet(i, params=EAGER) for i in range(30)]
         outcome = run_single_frame(protocol, terminals)
         assert outcome.n_allocated_slots <= protocol.frame_structure.info_slots
 
@@ -158,7 +159,7 @@ class TestDTDMAVR:
 class TestRAMA:
     def test_auction_produces_single_winner_per_slot(self):
         protocol = build_protocol("rama", params=EAGER)
-        terminals = [data_terminal_with_packets(i, 10, params=EAGER, seed=i)
+        terminals = [data_terminal_with_packets(i, 10, params=EAGER)
                      for i in range(20)]
         outcome = run_single_frame(protocol, terminals)
         assert outcome.n_successful_requests <= protocol.params.rama_auction_slots
@@ -166,14 +167,14 @@ class TestRAMA:
     def test_no_thrashing_with_many_contenders(self):
         """Unlike slotted contention, the auction keeps making progress."""
         protocol = build_protocol("rama", params=EAGER)
-        terminals = [voice_terminal_with_packet(i, params=EAGER, seed=i) for i in range(40)]
+        terminals = [voice_terminal_with_packet(i, params=EAGER) for i in range(40)]
         outcome = run_single_frame(protocol, terminals)
         assert outcome.n_successful_requests >= 1
 
     def test_voice_wins_over_data(self):
         protocol = build_protocol("rama", params=EAGER)
         voice = voice_terminal_with_packet(0, params=EAGER)
-        data = [data_terminal_with_packets(i + 1, 10, params=EAGER, seed=i) for i in range(5)]
+        data = [data_terminal_with_packets(i + 1, 10, params=EAGER) for i in range(5)]
         outcome = run_single_frame(protocol, [voice] + data)
         assert outcome.acknowledgements[0].terminal_id == 0
 
@@ -197,7 +198,7 @@ class TestRMAV:
 
     def test_two_contenders_collide(self):
         protocol = build_protocol("rmav", params=EAGER)
-        terminals = [voice_terminal_with_packet(i, params=EAGER, seed=i) for i in range(2)]
+        terminals = [voice_terminal_with_packet(i, params=EAGER) for i in range(2)]
         outcome = run_single_frame(protocol, terminals)
         assert outcome.n_successful_requests == 0
         assert outcome.contention_collisions == 1
@@ -227,10 +228,10 @@ class TestDRMA:
         n_slots = protocol.frame_structure.info_slots
         reserved = []
         for i in range(n_slots):
-            terminal = voice_terminal_with_packet(i, params=EAGER, seed=i)
+            terminal = voice_terminal_with_packet(i, params=EAGER)
             protocol.reservations.grant(i, 0)
             reserved.append(terminal)
-        newcomer = voice_terminal_with_packet(n_slots, params=EAGER, seed=99)
+        newcomer = voice_terminal_with_packet(n_slots, params=EAGER)
         outcome = run_single_frame(protocol, reserved + [newcomer])
         assert outcome.contention_attempts == 0
         assert outcome.n_successful_requests == 0
@@ -243,7 +244,7 @@ class TestDRMA:
 
     def test_slot_budget_respected(self):
         protocol = build_protocol("drma", params=EAGER)
-        terminals = [data_terminal_with_packets(i, 50, params=EAGER, seed=i)
+        terminals = [data_terminal_with_packets(i, 50, params=EAGER)
                      for i in range(20)]
         outcome = run_single_frame(protocol, terminals)
         assert outcome.n_allocated_slots <= protocol.frame_structure.info_slots

@@ -7,7 +7,11 @@ from repro.mac.request_queue import RequestQueue
 from repro.mac.requests import Allocation, FrameOutcome, Request
 from repro.mac.reservation import ReservationTable
 from repro.traffic.packets import TrafficKind
-from tests.utils import data_terminal_with_packets, voice_terminal_with_packet
+from tests.utils import (
+    clear_buffer,
+    data_terminal_with_packets,
+    voice_terminal_with_packet,
+)
 
 
 class TestReservationTable:
@@ -36,7 +40,7 @@ class TestReservationTable:
         table = ReservationTable()
         active = voice_terminal_with_packet(0, in_talkspurt=True)
         silent = voice_terminal_with_packet(1, in_talkspurt=False)
-        silent._buffer.clear()
+        clear_buffer(silent)
         table.grant(0, 0)
         table.grant(1, 0)
         released = table.release_ended_talkspurts([active, silent])
@@ -48,7 +52,7 @@ class TestReservationTable:
         terminal = voice_terminal_with_packet(0)
         table.grant(0, 0)
         assert table.reserved_terminals([terminal]) == [terminal]
-        terminal._buffer.clear()
+        clear_buffer(terminal)
         assert table.reserved_terminals([terminal]) == []
 
     def test_validation_and_clear(self):

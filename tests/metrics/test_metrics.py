@@ -10,9 +10,18 @@ from repro.metrics.collector import MetricsCollector
 from repro.metrics.data import DataMetrics
 from repro.metrics.stats import RunningStatistics, batch_means_confidence_interval
 from repro.metrics.voice import VoiceMetrics
-from tests.utils import data_terminal_with_packets, voice_terminal_with_packet
+from repro.traffic.population import TerminalPopulation
+from tests.utils import forced_state
 
 PARAMS = SimulationParameters()
+
+
+def forced_population():
+    """One voice terminal (one packet) and one data terminal (two packets)."""
+    population = TerminalPopulation(PARAMS, 1, 1, np.random.default_rng(0))
+    population.import_terminal_state(0, forced_state(True, 1, in_talkspurt=True))
+    population.import_terminal_state(1, forced_state(False, 2))
+    return population
 
 
 class TestVoiceMetrics:
@@ -35,14 +44,13 @@ class TestVoiceMetrics:
         with pytest.raises(ValueError):
             VoiceMetrics(-1, 0, 0, 0)
 
-    def test_from_terminals(self):
-        voice = voice_terminal_with_packet(0)
-        voice.stats.voice_generated = 10
-        voice.stats.voice_delivered = 8
-        voice.stats.voice_errored = 1
-        voice.stats.voice_dropped = 1
-        data = data_terminal_with_packets(1, 3)
-        metrics = VoiceMetrics.from_terminals([voice, data])
+    def test_from_population(self):
+        population = forced_population()
+        state = population.export_terminal_state(0)
+        state.voice_generated, state.voice_delivered = 10, 8
+        state.voice_errored, state.voice_dropped = 1, 1
+        population.import_terminal_state(0, state)
+        metrics = VoiceMetrics.from_population(population)
         assert metrics.generated == 10 and metrics.lost == 2
 
     @given(st.integers(0, 10_000), st.integers(0, 10_000), st.integers(0, 10_000))
@@ -171,10 +179,9 @@ class TestMetricsCollector:
         with pytest.raises(ValueError):
             collector.record_frame(self._outcome(), data_delivered=-1, voice_losses=0)
 
-    def test_terminal_aggregation(self):
+    def test_population_aggregation(self):
         collector = MetricsCollector(PARAMS, info_slots_per_frame=8)
         collector.record_frame(self._outcome(), 0, 0)
-        voice = voice_terminal_with_packet(0)
-        data = data_terminal_with_packets(1, 2)
-        assert collector.voice_metrics([voice, data]).generated == 1
-        assert collector.data_metrics([voice, data]).generated == 2
+        population = forced_population()
+        assert collector.voice_metrics(population).generated == 1
+        assert collector.data_metrics(population).generated == 2

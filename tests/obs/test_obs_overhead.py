@@ -105,7 +105,6 @@ def _build_engine(workload: dict) -> UplinkSimulationEngine:
         duration_s=workload["measured_s"],
         warmup_s=workload["warmup_s"],
         seed=workload["seed"],
-        engine_backend="columnar",
     )
     return UplinkSimulationEngine(scenario, PARAMS)
 

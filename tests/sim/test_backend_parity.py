@@ -1,15 +1,18 @@
-"""Differential tests: the columnar and object engine backends must agree.
+"""Small-scenario parity checks against committed golden digests.
 
-The columnar backend's kernels preserve the object backend's RNG call order
-everywhere (batched draws are stream-compatible with their scalar
-equivalents), so the two backends are required to produce **identical**
-``SimulationResult`` values under a common seed — not merely statistically
-equivalent ones.  Every protocol, both queue variants, and several seeds are
-exercised.
+Every scenario here was once run on two engines — the columnar one and an
+independently written per-terminal object engine — and required to give
+**identical** ``SimulationResult`` values.  The object engine is gone; its
+role as reference passed to the digests in ``golden_digests_differential.json``,
+recorded from per-frame stepping while both engines still agreed (see
+``test_golden_digests.py``).  Every protocol, both queue variants, several
+seeds, single-class and empty populations and one frame-by-frame outcome
+stream are pinned.
 
 Parity-mode runs block-step by default, so the per-frame legs here drive
 ``engine.step()`` through a block size of 1 and every block size is set on
-the engine (``blocked_engine``).
+the engine (``blocked_engine``); the macro checks compare block-stepped
+runs against the same per-frame digests.
 """
 
 import pytest
@@ -19,85 +22,48 @@ from repro.mac.registry import available_protocols
 from repro.sim.engine import UplinkSimulationEngine
 from repro.sim.runner import run_simulation
 from repro.sim.scenario import Scenario
+from tests.sim.test_golden_digests import (
+    differential_cases,
+    differential_digest,
+    differential_digests,
+    result_digest,
+)
 from tests.utils import blocked_engine
 
 PARAMS = SimulationParameters()
 
 
-def run_pair(**kwargs):
-    """Object and columnar backends, both stepped frame by frame."""
-    results = {}
-    for backend in ("object", "columnar"):
-        scenario = Scenario(engine_backend=backend, **kwargs)
-        results[backend] = blocked_engine(scenario, 1).run()
-    return results["object"], results["columnar"]
+def scenario_of(key: str) -> Scenario:
+    return Scenario(**differential_cases()[key])
+
+
+def assert_per_frame_golden(key: str) -> None:
+    """A case's per-frame digest equals the committed one."""
+    assert differential_digest(key, scenario_of(key)) == differential_digests()[key], key
 
 
 class TestBackendParity:
     @pytest.mark.parametrize("protocol", available_protocols())
     def test_identical_results_per_protocol(self, protocol):
-        obj, col = run_pair(
-            protocol=protocol, n_voice=12, n_data=3,
-            use_request_queue=(protocol != "rmav"),
-            duration_s=0.6, warmup_s=0.2, seed=7,
-        )
-        assert obj.voice == col.voice
-        assert obj.mac == col.mac
-        assert obj.data.generated == col.data.generated
-        assert obj.data.delivered == col.data.delivered
-        assert obj.data.retransmissions == col.data.retransmissions
-        assert obj.data.delay_frames == col.data.delay_frames
+        assert_per_frame_golden(f"per_protocol/{protocol}")
 
     @pytest.mark.parametrize("seed", [0, 3, 12345])
     def test_identical_across_seeds(self, seed):
-        obj, col = run_pair(
-            protocol="charisma", n_voice=10, n_data=4,
-            use_request_queue=True, duration_s=0.5, warmup_s=0.15, seed=seed,
-        )
-        assert obj.summary() == col.summary()
+        assert_per_frame_golden(f"charisma/seed{seed}")
 
     def test_identical_without_queue(self):
-        obj, col = run_pair(
-            protocol="dtdma_vr", n_voice=14, n_data=2,
-            use_request_queue=False, duration_s=0.5, warmup_s=0.1, seed=2,
-        )
-        assert obj.summary() == col.summary()
+        assert_per_frame_golden("dtdma_vr/noqueue")
 
     def test_identical_voice_only_and_data_only(self):
-        for n_voice, n_data in ((10, 0), (0, 4)):
-            obj, col = run_pair(
-                protocol="dtdma_fr", n_voice=n_voice, n_data=n_data,
-                duration_s=0.4, warmup_s=0.1, seed=5,
-            )
-            assert obj.summary() == col.summary()
+        assert_per_frame_golden("dtdma_fr/nv10_nd0")
+        assert_per_frame_golden("dtdma_fr/nv0_nd4")
 
     def test_empty_population(self):
-        obj, col = run_pair(
-            protocol="charisma", n_voice=0, n_data=0,
-            duration_s=0.3, warmup_s=0.0, seed=0,
-        )
-        assert obj.summary() == col.summary()
+        assert_per_frame_golden("charisma/empty")
 
     def test_stepwise_frame_outcomes_match(self):
-        """Per-frame MAC decisions agree, not only the final aggregates."""
-        engines = {
-            backend: UplinkSimulationEngine(
-                Scenario(protocol="charisma", n_voice=8, n_data=2,
-                         duration_s=0.5, warmup_s=0.1, seed=4,
-                         engine_backend=backend),
-                PARAMS,
-            )
-            for backend in ("object", "columnar")
-        }
-        for _ in range(150):
-            a = engines["object"].step()
-            b = engines["columnar"].step()
-            assert a.frame_index == b.frame_index
-            assert a.allocations == b.allocations
-            assert a.acknowledgements == b.acknowledgements
-            assert a.contention_attempts == b.contention_attempts
-            assert a.contention_collisions == b.contention_collisions
-            assert a.queued_requests == b.queued_requests
+        """Per-frame MAC decisions match, not only the final aggregates."""
+        assert_per_frame_golden("stepwise/charisma")
 
 
 class TestMacroStepParity:
@@ -105,8 +71,8 @@ class TestMacroStepParity:
 
     The macro engine re-partitions every random stream's draws (traffic
     plans, contention pools, deferred PHY batches) without re-ordering any
-    stream, so in parity mode the results — and the object backend's —
-    must match exactly for every block size, the default one included.
+    stream, so in parity mode the results must match exactly for every
+    block size, the default one included.
     """
 
     @pytest.mark.parametrize("protocol", available_protocols())
@@ -126,17 +92,10 @@ class TestMacroStepParity:
             )
 
     @pytest.mark.parametrize("protocol", ("rmav", "dtdma_vr", "drma"))
-    def test_macro_matches_object_backend(self, protocol):
-        base = dict(
-            protocol=protocol, n_voice=10, n_data=4,
-            use_request_queue=(protocol != "rmav"),
-            duration_s=0.5, warmup_s=0.15, seed=3,
-        )
-        obj = run_simulation(
-            Scenario(**base, engine_backend="object"), PARAMS
-        )
-        macro = blocked_engine(Scenario(**base), 16).run()
-        assert obj.summary() == macro.summary()
+    def test_macro_matches_golden_digest(self, protocol):
+        key = f"macro/{protocol}"
+        macro = blocked_engine(scenario_of(key), 16).run()
+        assert result_digest(macro) == differential_digests()[key]
 
     def test_macro_per_frame_collector_streams_match(self):
         """Not just the aggregates: the per-frame metric streams align,
@@ -159,7 +118,7 @@ class TestMacroStepParity:
 
 
 class TestColumnarMeasurementWindow:
-    """The PR-2 warm-up epoch-tagging semantics must hold on array counters."""
+    """The warm-up epoch-tagging semantics must hold on array counters."""
 
     @pytest.mark.parametrize("protocol", available_protocols())
     def test_outcome_conservation_with_warmup_backlog(self, protocol):
@@ -167,7 +126,6 @@ class TestColumnarMeasurementWindow:
             protocol=protocol, n_voice=10, n_data=4,
             use_request_queue=(protocol != "rmav"),
             duration_s=0.4, warmup_s=0.5, seed=9,
-            engine_backend="columnar",
         )
         result = run_simulation(scenario, PARAMS)
         voice, data = result.voice, result.data
@@ -179,8 +137,7 @@ class TestColumnarMeasurementWindow:
     def test_window_reset_clears_columnar_counters(self):
         engine = UplinkSimulationEngine(
             Scenario(protocol="dtdma_fr", n_voice=8, n_data=2,
-                     duration_s=0.5, warmup_s=0.0, seed=3,
-                     engine_backend="columnar"),
+                     duration_s=0.5, warmup_s=0.0, seed=3),
             PARAMS,
         )
         for _ in range(120):
@@ -202,19 +159,6 @@ class TestColumnarMeasurementWindow:
 
 
 class TestDenseIdValidation:
-    def test_engine_rejects_sparse_terminal_ids(self):
-        import numpy as np
-
-        from repro.traffic.terminal import VoiceTerminal
-
-        scenario = Scenario(protocol="dtdma_fr", n_voice=2, n_data=0,
-                            duration_s=0.1, warmup_s=0.0,
-                            engine_backend="object")
-        engine = UplinkSimulationEngine(scenario, PARAMS)
-        sparse = [VoiceTerminal(5, PARAMS, np.random.default_rng(0))]
-        with pytest.raises(ValueError, match="dense 0..n-1"):
-            engine._validate_dense_ids(sparse)
-
     def test_snapshot_rejects_out_of_range_ids(self):
         from tests.utils import make_snapshot
 
@@ -231,3 +175,6 @@ class TestDenseIdValidation:
         with pytest.raises(ValueError, match="engine_backend"):
             Scenario(protocol="charisma", n_voice=1, n_data=0,
                      engine_backend="gpu")
+        with pytest.raises(ValueError, match="'object' was removed"):
+            Scenario(protocol="charisma", n_voice=1, n_data=0,
+                     engine_backend="object")

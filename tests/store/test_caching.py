@@ -1,5 +1,7 @@
 """Tests for CachingExecutor: hit/miss parity, resumability, facade wiring."""
 
+import json
+
 import pytest
 
 from repro.api import (
@@ -93,6 +95,33 @@ class TestCacheHitMissParity:
         assert warm_inner.points_executed == 0  # zero simulations executed
         assert (warm.hits, warm.misses) == (spec.n_runs, 0)
         assert warm_results.to_records() == cold_results.to_records()
+
+    def test_removed_object_backend_record_quarantined_and_recomputed(
+        self, tmp_path
+    ):
+        """A record whose scenario names the removed ``"object"`` backend
+        no longer deserialises: reading it quarantines it and the point is
+        recomputed, without crashing the run."""
+        spec = _spec()
+        store = ResultStore(tmp_path / "cache")
+        cold_results = run(spec, executor=CachingExecutor(store, SerialExecutor()))
+
+        shard = next(iter(sorted((store.path / "shards").glob("*.jsonl"))))
+        lines = shard.read_text().splitlines()
+        record = json.loads(lines[0])
+        record["result"]["scenario"]["engine_backend"] = "object"
+        shard.write_text("\n".join([json.dumps(record)] + lines[1:]) + "\n")
+
+        inner = CountingExecutor()
+        caching = CachingExecutor(ResultStore(store.path), inner)
+        results = run(spec, executor=caching)
+        assert (caching.hits, caching.misses) == (spec.n_runs - 1, 1)
+        assert inner.points_executed == 1
+        assert results.to_records() == cold_results.to_records()
+        bad = store.path / "quarantine" / "bad-records.jsonl"
+        quarantined = [json.loads(line) for line in bad.read_text().splitlines()]
+        assert [q["run_hash"] for q in quarantined] == [record["run_hash"]]
+        assert ResultStore(store.path).get(record["run_hash"]) is not None
 
     def test_serial_cached_and_work_stealing_agree(self, tmp_path):
         spec = _spec()

@@ -20,6 +20,10 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "--protocol", "bogus"])
 
+    def test_removed_backend_flag_rejected(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["run", "--backend", "object"])
+
     def test_compare_protocol_list(self):
         args = build_parser().parse_args(["compare", "--protocols", "charisma", "rama"])
         assert args.protocols == ["charisma", "rama"]
@@ -152,6 +156,7 @@ class TestCommands:
         assert "ParallelExecutor" in out
         assert "AsyncExecutor" in out
         assert "ResultStore" in out
+        assert "per-frame == block-stepped" in out
         assert "selftest passed" in out
 
     def test_selftest_flag_spelling(self, capsys):

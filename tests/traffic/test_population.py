@@ -1,80 +1,283 @@
 """Unit tests of the struct-of-arrays terminal population.
 
-The population's kernels must mirror the per-object ``Terminal`` semantics
-*and* its RNG consumption exactly — the backend parity suite checks the end
-result, these tests check the state machine step by step against a twin
-object population driven from an identically seeded generator.
+The population is the simulation's only terminal representation, so its
+traffic model is checked against oracles that share no code with it:
+
+* a scalar reference model (``reference_evolution``) replaying the
+  parity-mode draw order with raw ``rng.exponential`` calls, frame by
+  frame, for the construction draws and the source events;
+* closed-form properties of the paper's traffic model (activity factor,
+  one voice packet per voice period, the 20 ms voice deadline, loss-free
+  data buffering, burst-size mean and offered load), in both RNG modes.
+
+The engine-level golden digests (``tests/sim/test_golden_digests.py``) pin
+the end results.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.config import SimulationParameters
-from repro.traffic.generator import build_population
-from repro.traffic.population import TerminalPopulation
-from repro.traffic.terminal import Terminal
+from repro.sim.rng import RandomStreams
+from repro.traffic.population import TerminalPopulation, TerminalStats
 
 PARAMS = SimulationParameters()
+RNG_MODES = ("parity", "fast")
 
 
-def make_pair(n_voice=6, n_data=3, seed=42):
-    objects = build_population(PARAMS, n_voice, n_data, np.random.default_rng(seed))
-    population = TerminalPopulation(
-        PARAMS, n_voice, n_data, np.random.default_rng(seed)
+def make_population(n_voice=6, n_data=3, seed=42, rng_mode="parity"):
+    """A population on the engine's stream layout for ``rng_mode``."""
+    streams = RandomStreams(seed)
+    fast = rng_mode == "fast"
+    return TerminalPopulation(
+        PARAMS, n_voice, n_data, streams["traffic"], rng_mode=rng_mode,
+        toggle_rng=streams.child("traffic", "toggle") if fast else None,
+        burst_rng=streams.child("traffic", "burst") if fast else None,
     )
-    return objects, population
 
 
-def advance_both(objects, population, frame):
-    for terminal in objects:
-        terminal.advance_frame(frame)
-        terminal.drop_expired(frame)
-    population.advance_frame(frame)
-    population.drop_expired(frame)
+def duration_frames(seconds: float) -> int:
+    return max(1, int(round(seconds / PARAMS.frame_duration_s)))
 
 
-class TestStateMirrorsObjects:
-    def test_generation_and_drops_match_object_terminals(self):
-        objects, population = make_pair()
-        for frame in range(3000):
-            advance_both(objects, population, frame)
-        for index, terminal in enumerate(objects):
-            view = population.views[index]
-            assert view.buffer_occupancy == terminal.buffer_occupancy
-            stats, ostats = view.stats, terminal.stats
-            assert stats.voice_generated == ostats.voice_generated
-            assert stats.voice_dropped == ostats.voice_dropped
-            assert stats.data_generated == ostats.data_generated
-            if terminal.is_voice:
-                assert view.in_talkspurt == terminal.in_talkspurt
+def reference_evolution(n_voice, n_data, seed, n_frames):
+    """Scalar parity-mode model of the voice and data sources.
 
-    def test_talkspurt_started_matches(self):
-        objects, population = make_pair(n_voice=5, n_data=0, seed=3)
-        for frame in range(2000):
-            advance_both(objects, population, frame)
-            for index, terminal in enumerate(objects):
-                assert (
-                    population.views[index].talkspurt_started()
-                    == terminal.talkspurt_started()
-                )
+    Returns the per-frame talkspurt flags, the ``(frame, id)`` talkspurt
+    starts and voice generations and the ``(frame, id, size)`` data bursts,
+    drawing from
+    ``RandomStreams(seed)["traffic"]`` in the documented order: one initial
+    duration per voice then per data terminal, then per frame the firing
+    terminals in ascending id order.
+    """
+    rng = RandomStreams(seed)["traffic"]
+    period = PARAMS.frames_per_voice_period
+    countdown = [duration_frames(rng.exponential(PARAMS.mean_silence_s))
+                 for _ in range(n_voice)]
+    countdown += [duration_frames(rng.exponential(PARAMS.mean_data_interarrival_s))
+                  for _ in range(n_data)]
+    talking = [False] * n_voice
+    since = [0] * n_voice
+    flags, starts, voice_gen, bursts = [], [], [], []
+    for frame in range(n_frames):
+        for i in range(n_voice + n_data):
+            if countdown[i] > 0:
+                countdown[i] -= 1
+                continue
+            if i < n_voice:
+                talking[i] = not talking[i]
+                since[i] = 0
+                if talking[i]:
+                    starts.append((frame, i))
+                mean = PARAMS.mean_talkspurt_s if talking[i] else PARAMS.mean_silence_s
+                countdown[i] = duration_frames(rng.exponential(mean))
+            else:
+                size = max(1, int(round(rng.exponential(PARAMS.mean_data_burst_packets))))
+                countdown[i] = duration_frames(rng.exponential(PARAMS.mean_data_interarrival_s))
+                bursts.append((frame, i, size))
+        for i in range(n_voice):
+            if talking[i]:
+                if since[i] % period == 0:
+                    voice_gen.append((frame, i))
+                since[i] += 1
+        flags.append(list(talking))
+    return flags, starts, voice_gen, bursts
 
-    def test_head_deadlines_match(self):
-        objects, population = make_pair(seed=11)
-        for frame in range(500):
-            advance_both(objects, population, frame)
-            for index, terminal in enumerate(objects):
-                view = population.views[index]
-                assert view.head_deadline_frames(frame) == terminal.head_deadline_frames(frame)
-                assert view.head_waiting_frames(frame) == terminal.head_waiting_frames(frame)
+
+def observe(population, n_frames, drop=True):
+    """Advance per frame; record talkspurt flags and starts, generations
+    and bursts."""
+    nv = population.n_voice
+    views = population.views
+    flags, starts, voice_gen, bursts = [], [], [], []
+    for frame in range(n_frames):
+        voice_before = population.voice_generated.copy()
+        data_before = population.data_generated.copy()
+        population.advance_frame(frame)
+        if drop:
+            population.drop_expired(frame)
+        flags.append(population.in_talkspurt[:nv].tolist())
+        starts += [(frame, i) for i in range(nv) if views[i].talkspurt_started()]
+        voice_gen += [(frame, int(i)) for i in
+                      np.nonzero(population.voice_generated != voice_before)[0]]
+        grown = population.data_generated - data_before
+        bursts += [(frame, int(i), int(grown[i])) for i in np.nonzero(grown)[0]]
+    return flags, starts, voice_gen, bursts
+
+
+def advance_until_buffered(population, max_frames=20000):
+    """Advance until terminal 0 holds a packet; return the next frame index."""
+    for frame in range(max_frames):
+        population.advance_frame(frame)
+        if population.occupancy[0]:
+            return frame + 1
+    pytest.fail("terminal 0 never generated a packet")
+
+
+class TestReferenceModel:
+    def test_construction_draws_replay_raw_exponentials(self):
+        """Voice rows draw their initial silence first, then data rows their
+        first inter-arrival — the same in both RNG modes."""
+        for rng_mode in RNG_MODES:
+            population = make_population(4, 3, seed=77, rng_mode=rng_mode)
+            rng = RandomStreams(77)["traffic"]
+            expected = [duration_frames(rng.exponential(PARAMS.mean_silence_s))
+                        for _ in range(4)]
+            expected += [duration_frames(rng.exponential(PARAMS.mean_data_interarrival_s))
+                         for _ in range(3)]
+            assert population.countdown.tolist() == expected, rng_mode
+            assert (population._rng.bit_generator.state
+                    == rng.bit_generator.state), rng_mode
+
+    def test_parity_evolution_matches_scalar_model(self):
+        """Talkspurt flags and starts, voice generation frames and burst
+        sizes follow the scalar model draw for draw."""
+        n_voice, n_data, n_frames = 5, 3, 4000
+        expected = reference_evolution(n_voice, n_data, seed=3, n_frames=n_frames)
+        observed = observe(make_population(n_voice, n_data, seed=3), n_frames)
+        assert observed == expected
+        assert all(expected[1:])  # the run saw talkspurts, packets and bursts
+
+    def test_block_plan_matches_scalar_model(self):
+        """The macro engine's block plan realises the same traffic."""
+        n_voice, n_data, n_frames = 5, 3, 63 * 64
+        _, _, voice_gen, bursts = reference_evolution(n_voice, n_data, 3, n_frames)
+        population = make_population(n_voice, n_data, seed=3)
+        planned_gen, planned_bursts = [], []
+        for start in range(0, n_frames, 64):
+            plan = population.plan_frames(start, 64)
+            for offset in range(64):
+                population.apply_planned_frame(plan, start + offset)
+                planned_gen += [(start + offset, i)
+                                for i in sorted(plan.voice_gen[offset] or ())]
+                planned_bursts += [(start + offset, i, size)
+                                   for i, size in plan.bursts[offset] or ()]
+        assert planned_gen == voice_gen
+        assert planned_bursts == bursts
+
+
+@pytest.mark.parametrize("rng_mode", RNG_MODES)
+class TestClosedFormTraffic:
+    def test_activity_factor(self, rng_mode):
+        """Long-run talkspurt fraction = mean_talk / (mean_talk + mean_silence)
+        (= 0.4255).  120 calls x 50 s is ~2500 on/off cycles, a standard
+        error of ~0.005 on the fraction; the tolerance is 0.025."""
+        population = make_population(120, 0, seed=1, rng_mode=rng_mode)
+        n_frames = 20000
+        talking = 0
+        for frame in range(n_frames):
+            population.advance_frame(frame)
+            population.drop_expired(frame)
+            talking += int(population.in_talkspurt.sum())
+        expected = PARAMS.mean_talkspurt_s / (
+            PARAMS.mean_talkspurt_s + PARAMS.mean_silence_s
+        )
+        assert talking / (120 * n_frames) == pytest.approx(expected, abs=0.025)
+
+    def test_one_voice_packet_per_period_in_talkspurts(self, rng_mode):
+        """Exactly one packet at the start of every voice period of a
+        talkspurt (every ``frames_per_voice_period`` frames from its first
+        frame), none in silence."""
+        period = PARAMS.frames_per_voice_period
+        population = make_population(8, 0, seed=2, rng_mode=rng_mode)
+        flags, _, voice_gen, _ = observe(population, 6000)
+        expected = []
+        for i in range(8):
+            run_start = None
+            for frame, frame_flags in enumerate(flags):
+                if not frame_flags[i]:
+                    run_start = None
+                    continue
+                if run_start is None:
+                    run_start = frame
+                if (frame - run_start) % period == 0:
+                    expected.append((frame, i))
+        assert sorted(voice_gen) == sorted(expected)
+        assert len(expected) > 50
+        assert population.voice_generated.sum() == len(expected)
+
+    def test_voice_drops_at_deadline(self, rng_mode):
+        """Untransmitted voice packets are dropped exactly at their 20 ms
+        deadline, and counted as dropped."""
+        deadline = PARAMS.voice_deadline_frames
+        assert deadline * PARAMS.frame_duration_s == pytest.approx(0.020)
+        population = make_population(6, 0, seed=4, rng_mode=rng_mode)
+        created_at = {}
+        for frame in range(5000):
+            before = population.voice_generated.copy()
+            population.advance_frame(frame)
+            for i in np.nonzero(population.voice_generated != before)[0]:
+                created_at.setdefault(frame, []).append(int(i))
+                for packet in population.packets_of(int(i)):
+                    assert packet.deadline_frame == packet.created_frame + deadline
+            events = population.drop_expired_events(frame)
+            assert sorted(i for i, _, _ in events) == sorted(
+                created_at.get(frame - deadline, [])
+            )
+            assert all(dropped == counted == 1 for _, dropped, counted in events)
+            for i in np.nonzero(population.occupancy)[0].tolist():
+                head = min(f for f in range(frame - deadline + 1, frame + 1)
+                           if i in created_at.get(f, ()))
+                view = population.views[i]
+                assert view.head_deadline_frames(frame) == head + deadline - frame
+                assert view.head_waiting_frames(frame) == frame - head
+        buffered = int(population.occupancy.sum())
+        assert buffered == sum(len(created_at.get(f, ()))
+                               for f in range(5000 - deadline, 5000))
+        assert (population.voice_dropped.sum()
+                == population.voice_generated.sum() - buffered)
+        assert population.voice_loss_total == population.voice_dropped.sum()
+
+    def test_data_is_never_dropped(self, rng_mode):
+        population = make_population(0, 10, seed=5, rng_mode=rng_mode)
+        for frame in range(8000):
+            population.advance_frame(frame)
+            assert population.drop_expired(frame) == 0
+        assert population.data_generated.sum() > 0
+        assert population.drop_expired(10**7) == 0
+        assert np.array_equal(population.occupancy, population.data_generated)
+        assert all(packet.deadline_frame is None
+                   for packet in population.packets_of(0, 5))
+
+    def test_burst_size_mean_and_offered_load(self, rng_mode):
+        """Bursts of mean 100 packets arrive once per ~1 s per terminal:
+        0.25 packets per 2.5 ms frame.  40 terminals x 100 s is ~4000
+        bursts (standard errors ~1.6 % on the mean size and ~2.2 % on the
+        load); the tolerances are 8 % and 10 %."""
+        n_data, n_frames = 40, 40000
+        population = make_population(0, n_data, seed=6, rng_mode=rng_mode)
+        *_, bursts = observe(population, n_frames, drop=False)
+        sizes = [size for _, _, size in bursts]
+        assert sum(sizes) == population.data_generated.sum()
+        assert np.mean(sizes) == pytest.approx(PARAMS.mean_data_burst_packets,
+                                               rel=0.08)
+        offered = (PARAMS.mean_data_burst_packets
+                   / PARAMS.mean_data_interarrival_s * PARAMS.frame_duration_s)
+        assert offered == pytest.approx(0.25)
+        load = sum(sizes) / (n_data * n_frames)
+        assert load == pytest.approx(offered, rel=0.10)
 
 
 class TestTransmit:
+    def test_voice_transmit_splits_delivered_and_errored(self):
+        """The first ``n_delivered`` transmitted voice packets are received,
+        the rest errored; all of them leave the buffer."""
+        from tests.utils import forced_state
+
+        population = make_population(n_voice=1, n_data=0)
+        population.import_terminal_state(0, forced_state(True, 2))
+        taken = population.transmit(0, max_packets=2, n_delivered=1,
+                                    current_frame=0)
+        assert taken == 2
+        stats = population.stats_of(0)
+        assert (stats.voice_delivered, stats.voice_errored) == (1, 1)
+        assert population.voice_loss_total == 1
+        assert population.occupancy[0] == 0
+
     def test_voice_transmit_outcomes(self):
-        _, population = make_pair(n_voice=1, n_data=0, seed=1)
-        frame = 0
-        while population.occupancy[0] == 0:
-            population.advance_frame(frame)
-            frame += 1
+        population = make_population(n_voice=1, n_data=0, seed=1)
+        frame = advance_until_buffered(population)
         taken = population.transmit(0, max_packets=3, n_delivered=0, current_frame=frame)
         assert taken == 1  # voice buffers hold at most the head-of-line packet
         assert population.voice_errored[0] == 1
@@ -83,11 +286,8 @@ class TestTransmit:
         assert population.head_created[0] == -1
 
     def test_data_transmit_records_delays_and_retransmissions(self):
-        _, population = make_pair(n_voice=0, n_data=1, seed=5)
-        frame = 0
-        while population.occupancy[0] == 0:
-            population.advance_frame(frame)
-            frame += 1
+        population = make_population(n_voice=0, n_data=1, seed=5)
+        frame = advance_until_buffered(population)
         burst_frame = frame - 1  # the loop increments past the burst frame
         occupancy = int(population.occupancy[0])
         # Deliver two of four transmitted packets three frames later.
@@ -103,7 +303,7 @@ class TestTransmit:
         assert population.occupancy[0] == occupancy - 2
 
     def test_transmit_validates_arguments(self):
-        _, population = make_pair(n_voice=1, n_data=0)
+        population = make_population(n_voice=1, n_data=0)
         with pytest.raises(ValueError):
             population.transmit(0, max_packets=-1, n_delivered=0, current_frame=0)
         with pytest.raises(ValueError):
@@ -112,11 +312,8 @@ class TestTransmit:
 
 class TestMeasurementWindow:
     def test_pre_window_packets_excluded_from_outcomes(self):
-        _, population = make_pair(n_voice=0, n_data=1, seed=5)
-        frame = 0
-        while population.occupancy[0] == 0:
-            population.advance_frame(frame)
-            frame += 1
+        population = make_population(n_voice=0, n_data=1, seed=5)
+        frame = advance_until_buffered(population)
         backlog = int(population.occupancy[0])
         population.begin_measurement(frame + 1)
         assert population.data_generated[0] == 0
@@ -131,11 +328,8 @@ class TestMeasurementWindow:
         assert population.occupancy[0] == backlog - delivered
 
     def test_pre_window_voice_drops_not_counted(self):
-        _, population = make_pair(n_voice=1, n_data=0, seed=1)
-        frame = 0
-        while population.occupancy[0] == 0:
-            population.advance_frame(frame)
-            frame += 1
+        population = make_population(n_voice=1, n_data=0, seed=1)
+        frame = advance_until_buffered(population)
         population.begin_measurement(frame + 1)
         dropped = population.drop_expired(frame + PARAMS.voice_deadline_frames)
         assert dropped == 1  # removed from the buffer...
@@ -145,7 +339,7 @@ class TestMeasurementWindow:
 
 class TestViews:
     def test_views_expose_terminal_api(self):
-        _, population = make_pair()
+        population = make_population()
         views = population.views
         assert views.dense_ids
         assert views.population is population
@@ -159,7 +353,7 @@ class TestViews:
         assert isinstance(voice, type(views[0]))
 
     def test_views_refuse_per_index_advance(self):
-        _, population = make_pair()
+        population = make_population()
         view = population.views[0]
         with pytest.raises(RuntimeError):
             view.advance_frame(0)
@@ -169,11 +363,8 @@ class TestViews:
             view.begin_measurement(0)
 
     def test_peek_packets_materialises_buffer(self):
-        _, population = make_pair(n_voice=0, n_data=1, seed=5)
-        frame = 0
-        while population.occupancy[0] == 0:
-            population.advance_frame(frame)
-            frame += 1
+        population = make_population(n_voice=0, n_data=1, seed=5)
+        frame = advance_until_buffered(population)
         view = population.views[0]
         packets = view.peek_packets(2)
         assert len(packets) == min(2, view.buffer_occupancy)
@@ -181,21 +372,34 @@ class TestViews:
         assert all(p.terminal_id == 0 for p in packets)
 
     def test_view_stats_are_terminal_stats(self):
-        from repro.traffic.terminal import TerminalStats
-
-        _, population = make_pair()
+        population = make_population()
         assert isinstance(population.views[0].stats, TerminalStats)
 
 
 class TestConstruction:
-    def test_rng_consumption_matches_build_population(self):
-        """Construction draws leave the generator in the object layout's state."""
-        rng_a = np.random.default_rng(77)
-        rng_b = np.random.default_rng(77)
-        build_population(PARAMS, 4, 3, rng_a)
-        TerminalPopulation(PARAMS, 4, 3, rng_b)
-        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+    def test_layout_voice_rows_first_all_silent(self):
+        """Voice terminals occupy ids 0..n_voice-1, data the rest, and
+        every call starts in silence (talkspurts ramp up during warm-up
+        instead of a synchronised cold-start burst of contention)."""
+        population = make_population(50, 4, seed=1)
+        views = population.views
+        assert [v.terminal_id for v in views] == list(range(54))
+        assert all(v.is_voice for v in views[:50])
+        assert all(v.is_data for v in views[50:])
+        assert not population.in_talkspurt.any()
+        assert not population.occupancy.any()
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.integers(min_value=0, max_value=30), st.integers(min_value=0, max_value=30))
+    def test_population_size_property(self, nv, nd):
+        population = make_population(nv, nd, seed=2)
+        assert len(population) == nv + nd
+        assert int(population.is_voice.sum()) == nv
 
     def test_rejects_negative_sizes(self):
         with pytest.raises(ValueError):
             TerminalPopulation(PARAMS, -1, 0, np.random.default_rng(0))
+
+    def test_rejects_negative_frame(self):
+        with pytest.raises(ValueError):
+            make_population().advance_frame(-1)

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+import functools
+from typing import Sequence
 
 import numpy as np
 
@@ -11,8 +12,11 @@ from repro.config import SimulationParameters
 from repro.mac.registry import create_protocol
 from repro.sim.engine import UplinkSimulationEngine
 from repro.sim.scenario import Scenario
-from repro.traffic.packets import Packet, TrafficKind
-from repro.traffic.terminal import DataTerminal, Terminal, VoiceTerminal
+from repro.traffic.population import (
+    TerminalMigrationState,
+    TerminalPopulation,
+    TerminalView,
+)
 
 PARAMS = SimulationParameters()
 
@@ -39,29 +43,62 @@ def make_snapshot(amplitudes: Sequence[float], frame_index: int = 0,
     return ChannelSnapshot(amplitude=amplitude, snr_db=snr_db, frame_index=frame_index)
 
 
+#: Slots per service class of the shared populations behind the forced
+#: terminals below (the largest terminal id a test may ask for, plus one).
+FORCED_SLOTS = 64
+
+
+@functools.lru_cache(maxsize=None)
+def shared_population(params: SimulationParameters, voice: bool) -> TerminalPopulation:
+    """The shared population forced terminals of one class live in.
+
+    A population fixes every slot's service class (voice rows first), while
+    tests pick terminal ids freely, so each class gets its own population
+    of :data:`FORCED_SLOTS` slots per parameter set.  A forced terminal is
+    a :class:`TerminalView` of one slot; forcing the same id again
+    overwrites that slot's whole state.
+    """
+    n_voice, n_data = (FORCED_SLOTS, 0) if voice else (0, FORCED_SLOTS)
+    return TerminalPopulation(params, n_voice, n_data, np.random.default_rng(0))
+
+
+def forced_state(voice: bool, n_packets: int, frame: int = 0,
+                 in_talkspurt: bool = False) -> TerminalMigrationState:
+    """A terminal state holding ``n_packets`` packets created at ``frame``.
+
+    Voice packets are one FIFO segment each, a data backlog one burst
+    segment; the generated counter matches the buffer.
+    """
+    if voice:
+        segments = [[frame, 1] for _ in range(n_packets)]
+    else:
+        segments = [[frame, n_packets]] if n_packets else []
+    return TerminalMigrationState(
+        is_voice=voice,
+        in_talkspurt=voice and in_talkspurt,
+        countdown=1,
+        frames_since_packet=0,
+        talkspurt_started_frame=-2,
+        occupancy=n_packets,
+        head_created=frame if n_packets else -1,
+        segments=segments,
+        voice_generated=n_packets if voice else 0,
+        data_generated=0 if voice else n_packets,
+    )
+
+
 def voice_terminal_with_packet(
     terminal_id: int,
     frame: int = 0,
     params: SimulationParameters = PARAMS,
-    seed: int = 0,
     in_talkspurt: bool = True,
-) -> VoiceTerminal:
+) -> TerminalView:
     """A voice terminal holding exactly one fresh packet (forced state)."""
-    terminal = VoiceTerminal(terminal_id, params, np.random.default_rng(seed),
-                             start_silent=not in_talkspurt)
-    terminal._buffer.append(
-        Packet(
-            kind=TrafficKind.VOICE,
-            terminal_id=terminal_id,
-            created_frame=frame,
-            deadline_frame=frame + params.voice_deadline_frames,
-        )
+    population = shared_population(params, voice=True)
+    population.import_terminal_state(
+        terminal_id, forced_state(True, 1, frame, in_talkspurt)
     )
-    terminal.stats.voice_generated += 1
-    if in_talkspurt:
-        # Force the source into a talkspurt so contention eligibility holds.
-        terminal._source._state = terminal._source._state.__class__.TALKSPURT
-    return terminal
+    return population.views[terminal_id]
 
 
 def data_terminal_with_packets(
@@ -69,16 +106,21 @@ def data_terminal_with_packets(
     n_packets: int,
     frame: int = 0,
     params: SimulationParameters = PARAMS,
-    seed: int = 0,
-) -> DataTerminal:
+) -> TerminalView:
     """A data terminal holding ``n_packets`` buffered packets (forced state)."""
-    terminal = DataTerminal(terminal_id, params, np.random.default_rng(seed))
-    for _ in range(n_packets):
-        terminal._buffer.append(
-            Packet(kind=TrafficKind.DATA, terminal_id=terminal_id, created_frame=frame)
-        )
-    terminal.stats.data_generated += n_packets
-    return terminal
+    population = shared_population(params, voice=False)
+    population.import_terminal_state(
+        terminal_id, forced_state(False, n_packets, frame)
+    )
+    return population.views[terminal_id]
+
+
+def clear_buffer(terminal: TerminalView) -> None:
+    """Empty a terminal's transmit buffer, keeping the rest of its state."""
+    population, index = terminal.population, terminal.terminal_id
+    state = population.export_terminal_state(index)
+    state.occupancy, state.head_created, state.segments = 0, -1, []
+    population.import_terminal_state(index, state)
 
 
 def build_protocol(name: str, use_request_queue: bool = False,
@@ -88,7 +130,7 @@ def build_protocol(name: str, use_request_queue: bool = False,
                            use_request_queue=use_request_queue)
 
 
-def population_snapshot(terminals: List[Terminal], amplitude: float = 1.0,
+def population_snapshot(terminals: Sequence[TerminalView], amplitude: float = 1.0,
                         frame_index: int = 0) -> ChannelSnapshot:
     """A snapshot giving every terminal the same channel amplitude."""
     n = max((t.terminal_id for t in terminals), default=-1) + 1
