@@ -9,7 +9,7 @@ Methodology
 -----------
 Measurements are interleaved and the best of several repetitions is kept,
 using CPU time, which cancels machine-load drift between the compared
-sides.
+sides; the per-frame/macro quotient is the median over adjacent pairs.
 
 The *reference workload* is RMAV on 100 terminals: RMAV's MAC layer is the
 thinnest of the six protocols (one competitive slot per frame, no request
@@ -65,6 +65,7 @@ from __future__ import annotations
 
 import json
 import os
+import statistics
 import time
 from datetime import datetime, timezone
 from pathlib import Path
@@ -89,7 +90,8 @@ N_DATA = 20
 SEED = 1
 DURATION_S = 1.0
 WARMUP_S = 0.25
-REPETITIONS = 4
+#: Interleaved per-frame/macro pairs per protocol (see ``measure``).
+REPETITIONS = 20
 
 #: Seeds over which the parity/fast comparison aggregates (see module doc).
 RNG_MODE_SEEDS = (1, 2, 3, 4, 5, 6)
@@ -147,30 +149,39 @@ def _frames_per_second(protocol: str, macro_frames: int = 1) -> float:
 
 
 def measure() -> dict:
-    """Interleaved best-of-N frames/sec per protocol: per-frame vs
-    macro-stepped (interleaved, one quotient base per pair).
+    """Interleaved frames/sec per protocol: per-frame vs macro-stepped.
 
-    The ``macro_over_columnar`` quotient compares parity macro-stepped
-    against parity per-frame stepping — bit-identical runs — for every
-    protocol; the per-frame base is recorded as ``macro_base_fps`` and the
-    mode as ``macro_rng_mode``.
+    Each repetition is one adjacent per-frame/macro pair, run in
+    alternating order, and the ``macro_over_columnar`` quotient is the
+    median of the per-pair quotients.  CPU speed on a shared machine swings
+    by up to 2x within one loop, so a quotient of the two sides' bests
+    would often divide samples taken under different machine states; the
+    paired median compares runs that share one.  The quotient compares
+    parity macro-stepped against parity per-frame stepping — bit-identical
+    runs — for every protocol; ``columnar_fps`` / ``macro_fps`` keep the
+    best of each side, the per-frame base is also recorded as
+    ``macro_base_fps`` and the mode as ``macro_rng_mode``.
     """
     protocols = {}
     for protocol in available_protocols():
         best = {"columnar": 0.0, "macro": 0.0}
-        for _ in range(REPETITIONS):
-            best["columnar"] = max(
-                best["columnar"], _frames_per_second(protocol))
-            best["macro"] = max(
-                best["macro"],
-                _frames_per_second(protocol, macro_frames=MACRO_FRAMES))
+        quotients = []
+        for repetition in range(REPETITIONS):
+            pair = {}
+            for side in (("columnar", "macro") if repetition % 2 == 0
+                         else ("macro", "columnar")):
+                pair[side] = _frames_per_second(
+                    protocol,
+                    macro_frames=MACRO_FRAMES if side == "macro" else 1,
+                )
+                best[side] = max(best[side], pair[side])
+            quotients.append(pair["macro"] / pair["columnar"])
         protocols[protocol] = {
             "columnar_fps": round(best["columnar"], 1),
             "macro_fps": round(best["macro"], 1),
             "macro_base_fps": round(best["columnar"], 1),
             "macro_rng_mode": "parity",
-            "macro_over_columnar": round(
-                best["macro"] / best["columnar"], 3),
+            "macro_over_columnar": round(statistics.median(quotients), 3),
         }
     return protocols
 
@@ -321,7 +332,7 @@ def test_bench_hotpath_backends():
             "measured_s": DURATION_S,
             "warmup_s": WARMUP_S,
             "repetitions": REPETITIONS,
-            "timer": "process_time, interleaved best-of-N",
+            "timer": "process_time, interleaved best-of-N, median paired quotient",
             "rng_mode_seeds": list(RNG_MODE_SEEDS),
         },
         "reference": {

@@ -8,7 +8,10 @@ traffic model is checked against oracles that share no code with it:
   frame, for the construction draws and the source events;
 * closed-form properties of the paper's traffic model (activity factor,
   one voice packet per voice period, the 20 ms voice deadline, loss-free
-  data buffering, burst-size mean and offered load), in both RNG modes.
+  data buffering, burst-size mean and offered load), in both RNG modes;
+* per-terminal source and buffer behaviour (talkspurt starts, packet
+  identity and deadlines, burst arrival frames, retransmission and delay
+  accounting, block plans against per-frame stepping), in both RNG modes.
 
 The engine-level golden digests (``tests/sim/test_golden_digests.py``) pin
 the end results.
@@ -20,6 +23,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.config import SimulationParameters
 from repro.sim.rng import RandomStreams
+from repro.traffic.packets import TrafficKind
 from repro.traffic.population import TerminalPopulation, TerminalStats
 
 PARAMS = SimulationParameters()
@@ -155,6 +159,34 @@ class TestReferenceModel:
                                    for i, size in plan.bursts[offset] or ()]
         assert planned_gen == voice_gen
         assert planned_bursts == bursts
+
+
+@pytest.mark.parametrize("rng_mode", RNG_MODES)
+@pytest.mark.parametrize("block", [1, 7, 64])
+def test_block_plan_matches_per_frame_advance(rng_mode, block):
+    """Planning a block and replaying it frame by frame realises the
+    per-frame traffic and buffer state in either RNG mode, wherever the
+    block boundaries fall."""
+    n_frames = 64 * 20
+    per_frame = make_population(5, 3, seed=3, rng_mode=rng_mode)
+    _, _, voice_gen, bursts = observe(per_frame, n_frames)
+    planned = make_population(5, 3, seed=3, rng_mode=rng_mode)
+    planned_gen, planned_bursts = [], []
+    for start in range(0, n_frames, block):
+        plan = planned.plan_frames(start, min(block, n_frames - start))
+        for offset in range(plan.n_frames):
+            frame = start + offset
+            planned.apply_planned_frame(plan, frame)
+            planned.drop_expired(frame)
+            planned_gen += [(frame, i) for i in sorted(plan.voice_gen[offset] or ())]
+            planned_bursts += [(frame, i, size)
+                               for i, size in plan.bursts[offset] or ()]
+    assert voice_gen and bursts
+    assert planned_gen == voice_gen
+    assert planned_bursts == bursts
+    for i in range(len(per_frame)):
+        assert (planned.export_terminal_state(i)
+                == per_frame.export_terminal_state(i)), i
 
 
 @pytest.mark.parametrize("rng_mode", RNG_MODES)
@@ -403,3 +435,253 @@ class TestConstruction:
     def test_rejects_negative_frame(self):
         with pytest.raises(ValueError):
             make_population().advance_frame(-1)
+
+
+@pytest.mark.parametrize("rng_mode", RNG_MODES)
+class TestVoiceSourceBehaviour:
+    """Per-terminal voice-source behaviour, read off the population arrays
+    and views in both RNG modes."""
+
+    def test_talkspurt_starts_are_the_rising_edges(self, rng_mode):
+        """``talkspurt_started()`` holds on exactly the first frame of each
+        talkspurt.  20 calls x 20 s is ~170 on/off cycles of 2.35 s mean;
+        the accepted range is 110..240 starts."""
+        population = make_population(20, 0, seed=4, rng_mode=rng_mode)
+        flags, starts, _, _ = observe(population, 8000)
+        edges = [
+            (frame, i)
+            for frame, frame_flags in enumerate(flags)
+            for i, talking in enumerate(frame_flags)
+            if talking and (frame == 0 or not flags[frame - 1][i])
+        ]
+        assert starts == edges
+        assert 110 <= len(starts) <= 240
+
+    def test_silent_call_generates_nothing(self, rng_mode):
+        """A call held in silence neither generates nor buffers packets."""
+        population = make_population(2, 0, seed=6, rng_mode=rng_mode)
+        state = population.export_terminal_state(0)
+        state.countdown = 10**6
+        population.import_terminal_state(0, state)
+        for frame in range(2000):
+            population.advance_frame(frame)
+            population.drop_expired(frame)
+            assert not population.in_talkspurt[0]
+        assert population.voice_generated[0] == 0
+        assert population.occupancy[0] == 0
+        assert population.voice_generated[1] > 0
+
+    def test_packets_carry_identity_and_deadline(self, rng_mode):
+        deadline = PARAMS.voice_deadline_frames
+        population = make_population(6, 0, seed=3, rng_mode=rng_mode)
+        seen = 0
+        for frame in range(3000):
+            population.advance_frame(frame)
+            for i in np.nonzero(population.occupancy)[0].tolist():
+                for packet in population.packets_of(i):
+                    assert packet.kind is TrafficKind.VOICE
+                    assert packet.terminal_id == i
+                    assert packet.created_frame <= frame
+                    assert packet.deadline_frame == packet.created_frame + deadline
+                    seen += 1
+            population.drop_expired(frame)
+        assert seen > 100
+
+    def test_deadline_leaves_at_most_one_buffered_packet(self, rng_mode):
+        """The 20 ms deadline equals the 20 ms voice period, so after the
+        frame's drops a call holds at most its newest packet."""
+        assert PARAMS.voice_deadline_frames == PARAMS.frames_per_voice_period
+        population = make_population(10, 0, seed=8, rng_mode=rng_mode)
+        for frame in range(4000):
+            population.advance_frame(frame)
+            population.drop_expired(frame)
+            assert population.occupancy.max() <= 1
+        assert population.voice_dropped.sum() > 0
+
+    def test_generated_packets_are_buffered(self, rng_mode):
+        """Without drops or transmissions every generated packet stays in
+        the buffer, one FIFO entry each."""
+        population = make_population(6, 0, seed=9, rng_mode=rng_mode)
+        _, _, voice_gen, _ = observe(population, 3000, drop=False)
+        assert voice_gen
+        assert np.array_equal(population.occupancy, population.voice_generated)
+        for i in range(6):
+            created = [p.created_frame for p in population.packets_of(i)]
+            assert created == [frame for frame, j in voice_gen if j == i]
+
+    def test_reproducible(self, rng_mode):
+        a = observe(make_population(5, 0, seed=8, rng_mode=rng_mode), 2000)
+        b = observe(make_population(5, 0, seed=8, rng_mode=rng_mode), 2000)
+        c = observe(make_population(5, 0, seed=9, rng_mode=rng_mode), 2000)
+        assert a == b
+        assert a != c
+
+
+@pytest.mark.parametrize("rng_mode", RNG_MODES)
+class TestDataSourceBehaviour:
+    """Per-terminal data-source and data-buffer behaviour in both RNG
+    modes."""
+
+    def test_burst_packets_share_their_arrival_frame(self, rng_mode):
+        population = make_population(0, 4, seed=4, rng_mode=rng_mode)
+        *_, bursts = observe(population, 6000, drop=False)
+        assert bursts
+        for i in range(4):
+            created = [p.created_frame for p in population.packets_of(i)]
+            expected = [frame for frame, j, size in bursts if j == i
+                        for _ in range(size)]
+            assert created == expected
+
+    def test_packets_carry_identity_and_no_deadline(self, rng_mode):
+        population = make_population(2, 3, seed=3, rng_mode=rng_mode)
+        observe(population, 4000, drop=False)
+        for i in range(2, 5):
+            packets = population.packets_of(i)
+            assert packets
+            assert all(p.kind is TrafficKind.DATA for p in packets)
+            assert all(p.terminal_id == i for p in packets)
+            assert all(p.deadline_frame is None for p in packets)
+            view = population.views[i]
+            assert view.head_deadline_frames(10**6) is None
+            assert view.head_waiting_frames(4000) == 4000 - packets[0].created_frame
+
+    def test_failed_data_packets_stay_buffered(self, rng_mode):
+        population = make_population(0, 1, seed=2, rng_mode=rng_mode)
+        frame = advance_until_buffered(population)
+        before = int(population.occupancy[0])
+        n = min(3, before)
+        taken = population.transmit(0, max_packets=n, n_delivered=0,
+                                    current_frame=frame + 4)
+        assert taken == 0
+        assert population.occupancy[0] == before
+        assert population.data_retransmissions[0] == n
+        assert population.data_delivered[0] == 0
+        assert population.data_delays(0) == []
+
+    def test_delays_measured_from_each_bursts_arrival(self, rng_mode):
+        """Delivering a whole multi-burst backlog records, per packet, the
+        frames since its own burst arrived, in FIFO order."""
+        population = make_population(0, 1, seed=5, rng_mode=rng_mode)
+        frame = 0
+        while len({p.created_frame for p in population.packets_of(0)}) < 2:
+            population.advance_frame(frame)
+            frame += 1
+            assert frame < 50000, "terminal 0 never received two bursts"
+        created = [p.created_frame for p in population.packets_of(0)]
+        now = frame + 7
+        n = len(created)
+        assert population.transmit(0, max_packets=n, n_delivered=n,
+                                   current_frame=now) == n
+        assert population.data_delays(0) == [now - c for c in created]
+        stats = population.stats_of(0)
+        assert stats.data_delivered == n
+        assert stats.data_delay_frames == [now - c for c in created]
+        assert population.occupancy[0] == 0
+        assert population.head_created[0] == -1
+
+    def test_peek_does_not_remove(self, rng_mode):
+        population = make_population(0, 1, seed=4, rng_mode=rng_mode)
+        advance_until_buffered(population)
+        view = population.views[0]
+        before = view.buffer_occupancy
+        peeked = view.peek_packets(min(5, before))
+        assert len(peeked) == min(5, before)
+        assert [p.created_frame for p in peeked] == [
+            p.created_frame for p in population.packets_of(0, 5)
+        ]
+        assert view.buffer_occupancy == before
+        with pytest.raises(ValueError):
+            view.peek_packets(-1)
+
+    def test_reproducible(self, rng_mode):
+        a = observe(make_population(0, 4, seed=6, rng_mode=rng_mode), 8000)
+        b = observe(make_population(0, 4, seed=6, rng_mode=rng_mode), 8000)
+        c = observe(make_population(0, 4, seed=7, rng_mode=rng_mode), 8000)
+        assert a == b
+        assert a[3] != c[3]
+
+
+@pytest.mark.parametrize("rng_mode", RNG_MODES)
+def test_empty_population_steps(rng_mode):
+    population = make_population(0, 0, rng_mode=rng_mode)
+    assert len(population) == 0 and population.n_terminals == 0
+    assert len(population.views) == 0
+    for frame in range(10):
+        population.advance_frame(frame)
+        assert population.drop_expired(frame) == 0
+    plan = population.plan_frames(10, 8)
+    for offset in range(8):
+        population.apply_planned_frame(plan, 10 + offset)
+    assert population.voice_loss_total == 0
+    assert population.all_data_delays() == []
+
+
+class TestValidation:
+    def test_rejects_negative_data_size(self):
+        with pytest.raises(ValueError):
+            TerminalPopulation(PARAMS, 0, -1, np.random.default_rng(0))
+
+    def test_rejects_unknown_rng_mode(self):
+        with pytest.raises(ValueError, match="rng_mode"):
+            TerminalPopulation(PARAMS, 1, 1, np.random.default_rng(0),
+                               rng_mode="turbo")
+
+    def test_plan_frames_validates_block(self):
+        population = make_population()
+        with pytest.raises(ValueError):
+            population.plan_frames(-1, 4)
+        with pytest.raises(ValueError):
+            population.plan_frames(0, 0)
+
+    def test_begin_measurement_rejects_negative_frame(self):
+        with pytest.raises(ValueError):
+            make_population().begin_measurement(-1)
+
+    def test_index_outside_population_rejected(self):
+        population = make_population(2, 1)
+        with pytest.raises(IndexError):
+            population.export_terminal_state(3)
+        with pytest.raises(IndexError):
+            population.export_terminal_state(-1)
+        with pytest.raises(IndexError):
+            population.views[3]
+
+    def test_import_rejects_other_service_class(self):
+        population = make_population(1, 1)
+        voice_state = population.export_terminal_state(0)
+        with pytest.raises(ValueError, match="service"):
+            population.import_terminal_state(1, voice_state)
+
+    def test_transmit_on_empty_buffer(self):
+        """An empty buffer transmits nothing and cannot deliver anything."""
+        population = make_population(n_voice=1, n_data=1)
+        for index in (0, 1):
+            assert population.transmit(index, max_packets=1, n_delivered=0,
+                                       current_frame=0) == 0
+            with pytest.raises(ValueError):
+                population.transmit(index, max_packets=1, n_delivered=1,
+                                    current_frame=0)
+        assert population.stats_of(0) == TerminalStats()
+        assert population.stats_of(1) == TerminalStats()
+
+
+def test_apply_grants_matches_per_grant_transmit():
+    """A batch of grants has the outcome of the same grants transmitted one
+    by one, and returns the delivered data packets."""
+    def loaded():
+        population = make_population(3, 3, seed=11)
+        for frame in range(6000):
+            population.advance_frame(frame)
+        return population
+
+    indices, capacities, delivered = [0, 3, 4, 1, 5], [1, 4, 2, 1, 3], [1, 2, 0, 0, 3]
+    batched, single = loaded(), loaded()
+    assert all(batched.occupancy[i] >= c for i, c in zip(indices, capacities))
+    data_ok = batched.apply_grants(indices, capacities, delivered, 6000)
+    for i, c, ok in zip(indices, capacities, delivered):
+        single.transmit(i, max_packets=c, n_delivered=ok, current_frame=6000)
+    assert data_ok == 5
+    for i in range(6):
+        assert batched.stats_of(i) == single.stats_of(i)
+        assert batched.occupancy[i] == single.occupancy[i]
+    assert batched.voice_loss_total == single.voice_loss_total == 1
