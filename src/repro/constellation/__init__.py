@@ -26,7 +26,6 @@ from repro.constellation.runner import (
     ConstellationResult,
     ConstellationRunner,
     WORKERS_ENV,
-    lpt_assign,
     resolve_workers,
     run_constellation,
 )
@@ -44,7 +43,6 @@ __all__ = [
     "beam_busy_load",
     "beam_spawn_key",
     "interference_offsets",
-    "lpt_assign",
     "plan_handovers",
     "resolve_workers",
     "run_constellation",

@@ -1,21 +1,33 @@
-"""Step N beam shards in parallel with cross-beam coupling at block barriers.
+"""Step N beam shards in lockstep groups with cross-beam coupling at barriers.
 
 The :class:`ConstellationRunner` owns one :class:`~repro.constellation.shard.
-BeamShard` per beam and advances them through the existing columnar/macro
-kernels.  Between macro blocks — and only there — it applies the cross-beam
-couplings (interference offsets, terminal handover) and records per-beam
-load-imbalance through :mod:`repro.obs.metrics`.  Shards are stepped by a
-thread pool by default: the block kernels spend their time in NumPy (which
-releases the GIL), shards share no mutable state between barriers, and the
-handover RNG is consumed serially by the coordinator, so threaded and
-serial runs produce identical merged results.
+BeamShard` per beam.  Beams split into ``n_workers`` contiguous, equal
+groups, one per shard thread, and each group advances its beams through a
+:class:`~repro.sim.macro.LockstepGroup`: all of the group's beams walk
+through each macro block together, frame by frame, so the per-frame vector
+work every beam repeats on a few rows (CHARISMA's CSI ranking, fast-mode
+contention comparisons, the PHY flushes) runs once per frame for the whole
+group, while each beam keeps its own random streams, allocation walk and
+channel.  Between macro blocks — and only there — the runner applies the
+cross-beam couplings (interference offsets, terminal handover) and gauges
+the shard threads' step-time imbalance through :mod:`repro.obs.metrics`.
+Groups share no mutable state between barriers, and the handover RNG is
+consumed serially by the coordinator, so results do not depend on the
+worker count.
+
+The shard threads buy no concurrency: the frame loop is interpreter work
+on small arrays, which holds the interpreter lock, and every per-beam
+random draw hands the lock to the other thread.  On a shared 2-vCPU box
+the 100-beam x 100-terminal CHARISMA demo (fast RNG, 64-frame blocks,
+handover and interference on; median of five alternating runs) took
+5.5 s with one worker and 6.8 s with two when every beam stepped on its
+own, and takes 3.6 s and 3.9 s in lockstep groups.
 
 When no coupling is active (one beam, or ``handover_rate == 0`` and
-``coupling_db == 0``) each shard advances whole warm-up/measured phases in
-single ``run_frames`` calls — the exact call pattern of
-``UplinkSimulationEngine.run()`` — which is what makes the single-beam
-degenerate case bit-identical to the plain :class:`~repro.sim.scenario.
-Scenario` path in parity RNG mode.
+``coupling_db == 0``) each group advances whole warm-up/measured phases in
+the blocks ``UplinkSimulationEngine.run()`` would use, which is what makes
+the single-beam degenerate case bit-identical to the plain
+:class:`~repro.sim.scenario.Scenario` path in parity RNG mode.
 """
 
 from __future__ import annotations
@@ -31,19 +43,18 @@ from repro.config import SimulationParameters
 from repro.constellation.coupling import interference_offsets, plan_handovers
 from repro.constellation.scenario import ConstellationScenario
 from repro.constellation.shard import BeamShard
-from repro.lint.contracts import kernel
 from repro.metrics.collector import MacStats
 from repro.metrics.data import DataMetrics
 from repro.metrics.voice import VoiceMetrics
 from repro.obs import clock as _clock
 from repro.obs import metrics as _metrics
+from repro.sim.macro import LockstepGroup
 from repro.sim.results import SimulationResult
 from repro.sim.rng import child_stream
 
 __all__ = [
     "ConstellationResult",
     "ConstellationRunner",
-    "lpt_assign",
     "resolve_workers",
     "run_constellation",
     "WORKERS_ENV",
@@ -68,31 +79,6 @@ def resolve_workers(
     return min(int(n_workers), scenario.n_beams)
 
 
-@kernel
-def lpt_assign(costs: np.ndarray, n_workers: int) -> np.ndarray:
-    """Longest-processing-time-first shard→worker assignment.
-
-    Places each shard, in decreasing cost order, on the currently lightest
-    worker — the classic 4/3-approximate makespan heuristic, which is what
-    keeps the block barrier from waiting on one overloaded thread when
-    beam loads diverge.  Returns the worker index per shard.  The sort is
-    stable, so ties break by beam order and the assignment is
-    deterministic.
-    """
-    costs = np.asarray(costs, dtype=np.float64)
-    n = costs.shape[0]
-    workers = np.zeros(n, dtype=np.int64)
-    if n_workers <= 1 or n <= 1:
-        return workers
-    order = np.argsort(-costs, kind="stable")
-    totals = np.zeros(int(n_workers), dtype=np.float64)
-    for shard_index in order:
-        lightest = int(np.argmin(totals))
-        workers[shard_index] = lightest
-        totals[lightest] += costs[shard_index]
-    return workers
-
-
 @dataclass(frozen=True)
 class ConstellationResult:
     """Merged plus per-beam results of one constellation run.
@@ -110,7 +96,8 @@ class ConstellationResult:
     handovers:
         Total terminal migrations executed across the whole run.
     n_workers:
-        Worker threads used to step the shards.
+        Worker threads (one lockstep beam group each) used to step the
+        shards.
     """
 
     scenario: ConstellationScenario
@@ -143,6 +130,17 @@ class ConstellationRunner:
             BeamShard(beam, scenario, self.params)
             for beam in range(scenario.n_beams)
         ]
+        # Contiguous, equal beam groups, one per worker thread.
+        n_beams = scenario.n_beams
+        bounds = [
+            index * n_beams // self.n_workers
+            for index in range(self.n_workers + 1)
+        ]
+        self.groups: List[LockstepGroup] = [
+            LockstepGroup(shard.engine for shard in self.shards[lo:hi])
+            for lo, hi in zip(bounds[:-1], bounds[1:])
+        ]
+        self._group_seconds = [0.0] * len(self.groups)
         # Handover decisions are drawn serially by the coordinator from a
         # dedicated labelled stream — independent of every beam's streams
         # and of the worker count.
@@ -180,7 +178,7 @@ class ConstellationRunner:
                 self._pool = None
         beams = tuple(shard.result() for shard in self.shards)
         merged = self._merge(beams)
-        self._report_load(final=True)
+        self._report_load()
         metrics = _metrics.METRICS
         metrics.gauge("constellation.handovers", float(self.handovers))
         return ConstellationResult(
@@ -205,43 +203,29 @@ class ConstellationRunner:
             self._blocks_done += 1
 
     def _step_all(self, n_frames: int) -> None:
-        """Advance every shard by ``n_frames``, threaded when configured."""
+        """Advance every beam by ``n_frames``, one thread per beam group."""
         if n_frames <= 0:
             return
-        shards = self.shards
-        if self.n_workers <= 1 or len(shards) <= 1:
-            for shard in shards:
-                self._step_shard(shard, n_frames)
+        groups = self.groups
+        if len(groups) == 1:
+            self._step_group(0, n_frames)
             return
-        assignment = lpt_assign(
-            np.array([shard.cost_ema for shard in shards]), self.n_workers
-        )
-        buckets: List[List[BeamShard]] = [[] for _ in range(self.n_workers)]
-        for index, worker in enumerate(assignment):
-            buckets[int(worker)].append(shards[index])
         if self._pool is None:
             self._pool = ThreadPoolExecutor(
-                max_workers=self.n_workers,
+                max_workers=len(groups),
                 thread_name_prefix="constellation",
             )
         futures = [
-            self._pool.submit(self._step_bucket, bucket, n_frames)
-            for bucket in buckets
-            if bucket
+            self._pool.submit(self._step_group, index, n_frames)
+            for index in range(len(groups))
         ]
         for future in futures:
             future.result()
-        self._report_load(final=False)
 
-    def _step_bucket(self, bucket: List[BeamShard], n_frames: int) -> None:
-        for shard in bucket:
-            self._step_shard(shard, n_frames)
-
-    @staticmethod
-    def _step_shard(shard: BeamShard, n_frames: int) -> None:
+    def _step_group(self, index: int, n_frames: int) -> None:
         started = _clock.now()
-        shard.run_frames(n_frames)
-        shard.observe_cost(_clock.now() - started, n_frames)
+        self.groups[index].run_frames(n_frames)
+        self._group_seconds[index] += _clock.now() - started
 
     # ----------------------------------------------------------- coupling
     def _apply_coupling(self) -> None:
@@ -270,15 +254,12 @@ class ConstellationRunner:
             if swaps:
                 _metrics.METRICS.inc("constellation.handovers.block", len(swaps))
 
-    def _report_load(self, final: bool) -> None:
-        """Gauge per-beam step-cost imbalance (max over mean)."""
-        metrics = _metrics.METRICS
-        if not metrics.enabled and not final:
-            return
-        costs = np.array([shard.cost_ema for shard in self.shards])
-        mean = float(costs.mean()) if costs.size else 0.0
-        imbalance = float(costs.max()) / mean if mean > 0.0 else 1.0
-        metrics.gauge("constellation.load_imbalance", imbalance)
+    def _report_load(self) -> None:
+        """Gauge the shard threads' step-time imbalance (max over mean)."""
+        seconds = np.array(self._group_seconds)
+        mean = float(seconds.mean())
+        imbalance = float(seconds.max()) / mean if mean > 0.0 else 1.0
+        _metrics.METRICS.gauge("constellation.load_imbalance", imbalance)
 
     # -------------------------------------------------------------- merge
     def _merge(self, beams: Tuple[SimulationResult, ...]) -> SimulationResult:

@@ -67,13 +67,15 @@ class BeamShard:
             # very next macro block instead of up to 64 frames late.
             self.engine.CHANNEL_BLOCK_FRAMES = scenario.macro_frames
         self.population: TerminalPopulation = self.engine.population
-        #: Exponential moving average of the shard's per-frame step cost,
-        #: fed to the LPT shard→worker assignment.  Seeded uniformly.
-        self.cost_ema: float = 1.0
 
     # ------------------------------------------------------------ stepping
     def run_frames(self, n_frames: int) -> None:
-        """Advance the shard's engine by ``n_frames`` frames."""
+        """Advance the shard's engine by ``n_frames`` frames on its own.
+
+        The constellation runner steps its beams in lockstep groups
+        instead (:class:`~repro.sim.macro.LockstepGroup`); stepping each
+        shard alone through the same barriers gives bit-identical results.
+        """
         self.engine.run_frames(n_frames)
 
     def begin_measurement(self) -> None:
@@ -83,13 +85,6 @@ class BeamShard:
     def result(self) -> SimulationResult:
         """The shard's metrics since the last measurement reset."""
         return self.engine.collect_results()
-
-    def observe_cost(self, seconds: float, n_frames: int) -> None:
-        """Fold one block's measured step time into the cost estimate."""
-        if n_frames <= 0 or seconds < 0.0:
-            return
-        per_frame = seconds / float(n_frames)
-        self.cost_ema = 0.5 * self.cost_ema + 0.5 * per_frame
 
     # ---------------------------------------------------- coupling seams
     def busy_load(self) -> float:

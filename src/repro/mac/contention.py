@@ -24,6 +24,8 @@ from repro.traffic.population import TerminalView
 __all__ = [
     "ContentionResult",
     "IndexContentionResult",
+    "MATRIX_MIN_MINISLOTS",
+    "resolve_transmissions",
     "run_contention",
     "run_contention_ids",
 ]
@@ -142,6 +144,56 @@ class IndexContentionResult:
 #: scalars (the draw itself stays one batched ``rng.random(n)`` either way).
 _SCALAR_RESOLUTION_LIMIT = 24
 
+#: Request minislots from which fast mode draws the whole request phase as
+#: one ``(n_minislots, n_candidates)`` matrix.
+MATRIX_MIN_MINISLOTS = 6
+
+
+def resolve_transmissions(
+    ids, rows: List[List[bool]], counts: List[int],
+    result: IndexContentionResult,
+) -> Optional[List[bool]]:
+    """Minislot-by-minislot bookkeeping over a pre-drawn transmission matrix.
+
+    ``rows[slot][candidate]`` says whether a candidate transmits in a
+    minislot and ``counts[slot]`` is that minislot's transmitter total (a
+    list, updated in place).  A winner stops contending, so its later
+    transmissions are taken off the later totals.  The matrices are a few
+    candidates wide, so the walk runs on plain Python lists.  Winners,
+    attempts, collisions and idle minislots accumulate into ``result``;
+    the return value is the still-contending mask, or ``None`` when nobody
+    won.
+    """
+    n_minislots = len(rows)
+    active: Optional[List[bool]] = None
+    n_active = len(ids)
+    for slot in range(n_minislots):
+        if n_active == 0:
+            result.idle_slots += n_minislots - slot
+            break
+        n_transmitters = counts[slot]
+        result.attempts += n_transmitters
+        if n_transmitters == 1:
+            row = rows[slot]
+            if active is None:
+                index = row.index(True)
+                active = [True] * len(ids)
+            else:
+                index = next(
+                    i for i, sent in enumerate(row) if sent and active[i]
+                )
+            result.winner_ids.append(int(ids[index]))
+            active[index] = False
+            n_active -= 1
+            for later in range(slot + 1, n_minislots):
+                if rows[later][index]:
+                    counts[later] -= 1
+        elif n_transmitters == 0:
+            result.idle_slots += 1
+        else:
+            result.collisions += 1
+    return active
+
 
 @kernel
 def run_contention_ids(
@@ -189,54 +241,28 @@ def run_contention_ids(
     # enough to amortise its fixed array cost; below that, fast mode keeps
     # the scalar per-minislot resolution (drawing from its child stream —
     # the processes are identically distributed either way).
-    if fast and n_minislots >= 6:
+    if fast and n_minislots >= MATRIX_MIN_MINISLOTS:
         ids = np.asarray(ids, dtype=np.int64)
         probabilities = np.asarray(probabilities, dtype=float)
-        # One draw and one comparison for the whole request phase; the
-        # per-minislot work is plain-int bookkeeping, with array fix-ups
-        # only on the rare minislots that produce a winner (whose later
-        # transmissions must stop counting).
-        # The fast gate only switches draw *shape*, never count: this
-        # path owns its child stream, so no parity with the scalar draw
-        # order is promised here.
+        # One draw and one comparison for the whole request phase.  The
+        # fast gate only switches draw *shape*, never count: this path owns
+        # its child stream, so no parity with the scalar draw order is
+        # promised here.
         # lint: allow[KRN001]
         transmitting = rng.random((n_minislots, n)) < probabilities
-        counts = transmitting.sum(axis=1, dtype=np.int64)
-        counts_list = counts.tolist()
-        active: Optional[np.ndarray] = None
-        n_active = n
-        for slot in range(n_minislots):
-            if n_active == 0:
-                result.idle_slots += n_minislots - slot
-                break
-            n_transmitters = counts_list[slot]
-            result.attempts += n_transmitters
-            if n_transmitters == 1:
-                row = transmitting[slot]
-                if active is None:
-                    index = int(np.argmax(row))
-                    active = np.ones(n, dtype=bool)
-                else:
-                    index = int(np.argmax(row & active))
-                result.winner_ids.append(int(ids[index]))
-                active[index] = False
-                n_active -= 1
-                if slot + 1 < n_minislots:
-                    later = transmitting[slot + 1 :, index]
-                    if later.any():
-                        corrected = counts[slot + 1 :] - later
-                        counts[slot + 1 :] = corrected
-                        counts_list[slot + 1 :] = corrected.tolist()
-            elif n_transmitters == 0:
-                result.idle_slots += 1
-            else:
-                result.collisions += 1
+        active = resolve_transmissions(
+            ids,
+            transmitting.tolist(),
+            transmitting.sum(axis=1, dtype=np.int64).tolist(),
+            result,
+        )
         if active is None:
             result.remaining_ids = ids.tolist()
             result.remaining_probabilities = probabilities.tolist()
         else:
-            result.remaining_ids = ids[active].tolist()
-            result.remaining_probabilities = probabilities[active].tolist()
+            mask = np.array(active)
+            result.remaining_ids = ids[mask].tolist()
+            result.remaining_probabilities = probabilities[mask].tolist()
         return result
 
     id_list = ids.tolist() if isinstance(ids, np.ndarray) else list(ids)

@@ -48,6 +48,11 @@ class PacketErrorModel:
         """The modem whose success probabilities drive the error draws."""
         return self._modem
 
+    @property
+    def rng(self) -> np.random.Generator:
+        """The generator the error draws come from."""
+        return self._rng
+
     def success_probability(
         self, amplitude: float, throughput: float | None = None
     ) -> float:
@@ -98,7 +103,7 @@ class PacketErrorModel:
 
     @kernel
     def transmit_batch(
-        self, amplitudes, n_packets, throughputs=None, snr_db=None
+        self, amplitudes, n_packets, throughputs=None, snr_db=None, streams=None
     ) -> np.ndarray:
         """Simulate one frame's grants in a single vectorised call.
 
@@ -117,6 +122,13 @@ class PacketErrorModel:
         snr_db:
             Optional precomputed per-grant SNRs (the channel snapshot's
             convention), skipping the amplitude-to-SNR conversion.
+        streams:
+            Optional ``(generator, stop)`` pairs for a batch that stacks
+            the grants of several cells with equal modems (a lockstep
+            constellation beam group): the rows from the previous ``stop``
+            up to this one draw from ``generator`` — each cell's own error
+            stream — instead of from this model's.  The success
+            probabilities are evaluated once for the whole batch.
 
         Returns
         -------
@@ -144,4 +156,21 @@ class PacketErrorModel:
         probabilities = self.success_probabilities(
             amplitudes, throughputs, snr_db=snr_db
         )
-        return self._rng.binomial(counts, probabilities)
+        if streams is None:
+            # One draw per row, in row order, whatever the branch.
+            # lint: allow[KRN001]
+            return self._rng.binomial(counts, probabilities)
+        delivered = np.empty(counts.shape[0], dtype=np.int64)
+        start = 0
+        for rng, stop in streams:
+            if stop > start:
+                # Each cell's rows draw from its own stream in its own row
+                # order — exactly its own flush's draws.
+                # lint: allow[KRN001]
+                delivered[start:stop] = rng.binomial(
+                    counts[start:stop], probabilities[start:stop]
+                )
+            start = stop
+        if start != counts.shape[0]:
+            raise ValueError("streams must cover every row of the batch")
+        return delivered

@@ -336,32 +336,49 @@ class UplinkSimulationEngine:
         """
         if n_frames <= 0:
             return
-        # The macro runner reads ``self._clock`` directly (it brackets its
-        # own block-level sections), so refresh instrumentation up front —
-        # including dropping a recorder whose tracer has been uninstalled.
-        if self.phase_times is not None or _obs_trace.TRACER is not None:
-            self._ensure_instrumented()
-        elif self._clock is not None:
-            self._clock = None
-        if self.rng_mode == "parity":
-            block_size = self.MACRO_BLOCK_FRAMES if n_frames > 1 else 1
-        else:
-            block_size = self.scenario.macro_frames
-        runner = self._macro_runner() if block_size > 1 else None
-        if runner is None:
+        self.refresh_instrumentation()
+        block_size = self.macro_block_size(n_frames)
+        if block_size <= 1:
             for _ in range(n_frames):
                 self.step()
             return
+        runner = self._macro_runner()
         remaining = n_frames
         while remaining > 0:
             block = block_size if block_size < remaining else remaining
             runner.run_block(block)
             remaining -= block
 
-    def _macro_runner(self):
-        """The lazily built macro runner, or ``None`` when not applicable."""
+    def macro_block_size(self, n_frames: int) -> int:
+        """Frames per macro block :meth:`run_frames` uses for ``n_frames``.
+
+        ``1`` means per-frame :meth:`step` calls: a fast-mode scenario with
+        ``macro_frames=1``, a parity-mode single frame, or the view MAC
+        path.  The constellation's lockstep beam groups chunk a phase by the
+        same rule, so their block boundaries are the ones each engine would
+        pick on its own.
+        """
         if not self._use_batch_mac:
-            return None
+            return 1
+        if self.rng_mode == "parity":
+            return self.MACRO_BLOCK_FRAMES if n_frames > 1 else 1
+        return self.scenario.macro_frames
+
+    def refresh_instrumentation(self) -> None:
+        """Point :attr:`_clock` at the current phase timing / tracer state.
+
+        The macro runner reads ``self._clock`` directly (it brackets its
+        own block-level sections), so block drivers refresh it before each
+        run of blocks — including dropping a recorder whose tracer has
+        been uninstalled.
+        """
+        if self.phase_times is not None or _obs_trace.TRACER is not None:
+            self._ensure_instrumented()
+        elif self._clock is not None:
+            self._clock = None
+
+    def _macro_runner(self):
+        """The lazily built macro runner."""
         if self._macro is None:
             from repro.sim.macro import MacroRunner
 

@@ -48,6 +48,12 @@ The fallback reasons (``macro.fallback_frames.<reason>`` counters and the
 * ``contended`` — live contenders on a protocol with neither a fixed
   request subframe nor an inline contention style.
 
+:class:`LockstepGroup` walks several same-scenario engines (the beams of
+one constellation shard thread) through each block together, frame by
+frame, and runs the per-frame vector work they all repeat — CHARISMA's
+CSI ranking, fast-mode contention comparisons, PHY flushes — once for the
+group; every draw stays on its own beam's streams, in its own order.
+
 In ``rng_mode="parity"`` the whole construction is **bit-identical** to
 per-frame :meth:`~repro.sim.engine.UplinkSimulationEngine.step` calls;
 ``tests/sim/test_backend_parity.py`` sweeps block sizes {4, 16, 64} over
@@ -59,17 +65,22 @@ recorded from per-frame runs.
 from __future__ import annotations
 
 import weakref
-from bisect import bisect_left, insort
+from bisect import bisect_left, bisect_right, insort
 from typing import List, Optional
 
 import numpy as np
 
-from repro.accel import contention_round_scan
+from repro.accel import contention_round_scan, voice_flush_resolve
 from repro.lint.contracts import kernel
-from repro.mac.contention import run_contention_ids
+from repro.mac.contention import (
+    MATRIX_MIN_MINISLOTS,
+    IndexContentionResult,
+    resolve_transmissions,
+    run_contention_ids,
+)
 from repro.obs import metrics as _metrics
 
-__all__ = ["MacroRunner", "NormalPool", "RandomPool"]
+__all__ = ["LockstepGroup", "MacroRunner", "NormalPool", "RandomPool"]
 
 
 class RandomPool:
@@ -83,11 +94,12 @@ class RandomPool:
     indistinguishable from having made the per-frame draws directly.
     """
 
-    __slots__ = ("_rng", "_chunk", "_state", "_buffer", "_position", "_draw")
+    __slots__ = ("_rng", "chunk", "_state", "_buffer", "_position", "_draw")
 
     def __init__(self, rng: np.random.Generator, chunk: int = 4096) -> None:
         self._rng = rng
-        self._chunk = int(chunk)
+        #: Minimum doubles per prefetch.
+        self.chunk = int(chunk)
         self._state = None
         self._buffer: Optional[np.ndarray] = None
         self._position = 0
@@ -138,7 +150,7 @@ class RandomPool:
     def _refill(self, n: int) -> None:
         self.close()
         self._state = self._rng.bit_generator.state
-        self._buffer = self._draw(max(n, self._chunk))
+        self._buffer = self._draw(max(n, self.chunk))
         self._position = 0
 
 
@@ -258,6 +270,10 @@ class MacroRunner:
         self._phy_chans: List[float] = []
         self._phy_thrs: List[float] = []
         self._records: List[List] = []
+        # Set by a frame that deferred data rows: their outcomes feed back
+        # into buffer state, so they resolve before the next frame.
+        self._flush_due = False
+        self._queue_backed = False
 
     # ------------------------------------------------------------------ API
     def invalidate_mirrors(self) -> None:
@@ -273,48 +289,63 @@ class MacroRunner:
 
     def run_block(self, n_frames: int) -> None:
         """Advance ``n_frames`` frames as one macro block."""
+        engine, clock, plan, start = self._begin_block(n_frames)
+        for offset in range(n_frames):
+            frame = start + offset
+            snapshot, drops = self._frame_prologue(engine, plan, frame, clock)
+            reason = self._fast_frame(plan, offset, frame, snapshot, drops, clock)
+            if reason is not None:
+                self._fallback_frame(frame, snapshot, drops, clock, reason)
+            if self._flush_due:
+                self._flush_phy(clock)
+            engine._frame_index = frame + 1
+        self._flush_phy(clock)
+        self._finish_block(engine, clock)
+
+    def _begin_block(self, n_frames: int):
+        """Block prologue: mirror validity check and the traffic plan.
+
+        Returns ``(engine, clock, plan, start_frame)``.
+        """
         engine = self._engine_ref()
-        population = self.population
         clock = engine._clock
         start = engine._frame_index
         if start != self._expected_frame:
             # Frames ran outside this runner (interleaved engine.step());
             # the incremental mirrors no longer describe current state.
             self._mirrors_dirty = True
-
-        tracer = clock.tracer if clock is not None else None
         if clock:
             clock.start("traffic")
-        plan = population.plan_frames(start, n_frames)
+        plan = self.population.plan_frames(start, n_frames)
         if clock:
             clock.stop()
-        if tracer is not None:
-            tracer.event("macro.plan", frames=n_frames, start_frame=start)
+            if clock.tracer is not None:
+                clock.tracer.event("macro.plan", frames=n_frames, start_frame=start)
+        return engine, clock, plan, start
 
-        for offset in range(n_frames):
-            frame = start + offset
-            if clock:
-                clock.start("channel")
-            snapshot = engine._next_snapshot()
-            if clock:
-                clock.stop()
-                clock.start("traffic")
-            population.apply_planned_frame(plan, frame)
-            drops = population.drop_expired_events(frame)
-            if clock:
-                clock.stop()
-            reason = self._fast_frame(plan, offset, frame, snapshot, drops, clock)
-            if reason is not None:
-                self._fallback_frame(frame, snapshot, drops, clock, reason)
-            engine._frame_index = frame + 1
+    def _frame_prologue(self, engine, plan, frame, clock):
+        """A frame's channel snapshot, planned traffic and deadline drops."""
+        population = self.population
+        if clock:
+            clock.start("channel")
+        snapshot = engine._next_snapshot()
+        if clock:
+            clock.stop()
+            clock.start("traffic")
+        population.apply_planned_frame(plan, frame)
+        drops = population.drop_expired_events(frame)
+        if clock:
+            clock.stop()
+        return snapshot, drops
 
-        self._flush_phy(clock)
+    def _finish_block(self, engine, clock) -> None:
+        """Block epilogue once every deferred transmission has resolved."""
         self._commit_records(clock)
         unused = self._pool.close()
         if self._csi_pool is not None:
             unused += self._csi_pool.close()
-        if tracer is not None and unused:
-            tracer.event("macro.rollback", unused_draws=unused)
+        if clock is not None and clock.tracer is not None and unused:
+            clock.tracer.event("macro.rollback", unused_draws=unused)
         self._expected_frame = engine._frame_index
 
     # ----------------------------------------------------------- fast frame
@@ -324,30 +355,18 @@ class MacroRunner:
         Returns ``None`` when the frame ran inline, else the reason it must
         fall back to the per-frame kernel (see the module docstring).
         """
-        if not self._supported:
-            return "no_lookahead"
-        protocol = self.protocol
-        population = self.population
-        queue = protocol.request_queue
-        queue_backed = queue is not None and len(queue) > 0
-        if queue_backed:
-            if not self._fcfs_queue:
-                return "queue"
-            # The kernel's queue prune (its reservation release is the
-            # holder loop below), then a rebuild of the mirrors: queued
-            # terminals do not contend, and the incremental mirrors only
-            # know the empty-queue candidate rule.
-            protocol.prune_queue_batch(frame, population)
-            self._sync_mirrors()
-        elif self._mirrors_dirty:
-            self._sync_mirrors()
-        else:
-            self._update_mirrors(plan, offset, drops)
+        reason = self._prepare_frame(plan, offset, frame, drops)
+        if reason is not None:
+            return reason
         if self._style == "csi_schedule":
             # CHARISMA frames always draw CSI and rank their pending pool —
             # quiet or contended — so they bypass the generic holder-serve
             # body entirely.
             return self._csi_frame(frame, snapshot, drops, clock)
+        protocol = self.protocol
+        population = self.population
+        queue = protocol.request_queue
+        queue_backed = self._queue_backed
         candidates = self._cand_ids
         minislots = self._minislots
         if candidates and minislots is None:
@@ -363,15 +382,7 @@ class MacroRunner:
 
         if clock:
             clock.start("mac")
-        occupancy_array = population.occupancy
-        # Small populations: one bulk tolist beats the dozens of scalar
-        # reads the holder/winner loops make; large ones read just the few
-        # entries they need straight from the array.
-        occ_list = (
-            occupancy_array.tolist()
-            if occupancy_array.shape[0] <= 256
-            else occupancy_array
-        )
+        occ_list = self._occupancy_list()
         in_talkspurt = population.in_talkspurt
 
         # Reservation release + FCFS reserved service, ascending holder id.
@@ -522,14 +533,9 @@ class MacroRunner:
         # Execute the frame's grants: deterministic buffer pops now, one
         # deferred Bernoulli resolution per flush.  Row order matches the
         # per-frame grant columns (reserved, voice winners, data winners).
-        record_index = len(self._records)
-        record = [attempts, collisions, idle, allocated, queued, 0, 0]
-        if drops:
-            counted = 0
-            for _tid, _dropped, in_window in drops:
-                counted += in_window
-            record[6] = counted
-        self._records.append(record)
+        record_index = self._open_record(
+            drops, attempts, collisions, idle, allocated, queued
+        )
 
         if voice_rows or data_rows:
             chan_src = snapshot.snr_db if self._reuse_snr else snapshot.amplitude
@@ -571,7 +577,37 @@ class MacroRunner:
             # Data outcomes feed back into buffer state (only delivered
             # packets leave a data buffer), so the next frame's decisions
             # need them resolved — the flush boundary of the lookahead.
-            self._flush_phy(clock)
+            self._flush_due = True
+        return None
+
+    def _prepare_frame(self, plan, offset, frame, drops):
+        """Bring the MAC-state mirrors up to this frame.
+
+        Returns ``None`` when the frame can run inline, else the reason it
+        must fall back (see the module docstring).  Records in
+        :attr:`_queue_backed` whether the frame started with a non-empty
+        request queue.
+        """
+        if not self._supported:
+            return "no_lookahead"
+        protocol = self.protocol
+        queue = protocol.request_queue
+        queue_backed = self._queue_backed = (
+            queue is not None and len(queue) > 0
+        )
+        if queue_backed:
+            if not self._fcfs_queue:
+                return "queue"
+            # The kernel's queue prune (its reservation release is the
+            # holder loop), then a rebuild of the mirrors: queued terminals
+            # do not contend, and the incremental mirrors only know the
+            # empty-queue candidate rule.
+            protocol.prune_queue_batch(frame, self.population)
+            self._sync_mirrors()
+        elif self._mirrors_dirty:
+            self._sync_mirrors()
+        else:
+            self._update_mirrors(plan, offset, drops)
         return None
 
     @kernel
@@ -692,11 +728,7 @@ class MacroRunner:
         queue = protocol.request_queue
         reservations = protocol.reservations
         occupancy_array = population.occupancy
-        occ_list = (
-            occupancy_array.tolist()
-            if occupancy_array.shape[0] <= 256
-            else occupancy_array
-        )
+        occ_list = self._occupancy_list()
         in_talkspurt = population.in_talkspurt
         nv = self._nv
 
@@ -741,14 +773,8 @@ class MacroRunner:
         # The frame's record is appended up front (zero-filled) because the
         # duplicate-grant discipline may flush mid-frame, and flushing
         # resolves deferred rows into their records.
-        record = [0, 0, 0, 0, 0, 0, 0]
-        if drops:
-            counted = 0
-            for _tid, _dropped, in_window in drops:
-                counted += in_window
-            record[6] = counted
-        record_index = len(self._records)
-        self._records.append(record)
+        record_index = self._open_record(drops)
+        record = self._records[record_index]
 
         attempts = collisions = idle = allocated = 0
         cursor = 0
@@ -891,7 +917,7 @@ class MacroRunner:
         if any_data:
             # Data outcomes feed back into buffer state, so the next
             # frame's decisions need them resolved.
-            self._flush_phy(clock)
+            self._flush_due = True
 
     @kernel
     def _csi_frame(self, frame, snapshot, drops, clock) -> None:
@@ -899,55 +925,25 @@ class MacroRunner:
 
         Replicates ``CharismaProtocol.run_frame_batch`` on an empty-queue
         frame.  The request phase is the kernel's own contention call; the
-        CSI estimates of reservation holders + winners follow.  In fast
-        mode they are one batched estimate: standard normals prefetched
-        per block from the dedicated estimation stream and scaled by the
-        amplitude-independent noise std, exactly the values
-        ``estimate_amplitudes`` would produce.  In parity mode they are the
-        kernel's two live ``normal`` draws from the shared MAC stream,
-        winners' first, then holders'.  Then come the frame's shared mode
-        lookup, the stable priority ranking and the ranked allocation walk.
-        Voice grants defer their PHY outcome to the block flush; frames with
-        data grants flush at frame end because data outcomes feed back into
-        buffer state.
+        CSI estimates of reservation holders + winners follow
+        (:meth:`_csi_noise`).  Then come the frame's shared mode lookup
+        and the stable priority ranking (:meth:`_csi_rank`) and the ranked
+        allocation walk (:meth:`_csi_allocate`).  A lockstep beam group
+        (:class:`LockstepGroup`) runs the same stages with the ranking
+        fused across its beams.
         """
         if clock:
             clock.start("mac")
         protocol = self.protocol
-        population = self.population
-        queue = protocol.request_queue
-        reservations = protocol.reservations
-        occupancy_array = population.occupancy
-        occ_list = (
-            occupancy_array.tolist()
-            if occupancy_array.shape[0] <= 256
-            else occupancy_array
-        )
-        in_talkspurt = population.in_talkspurt
-        nv = self._nv
-
-        # Reservation release + the holders' auto-generated requests
-        # (ascending id — the ``reserved_ids`` order).
-        reserved: List[int] = []
-        to_release = None
-        for tid in self._holders:
-            if occ_list[tid] > 0:
-                reserved.append(tid)
-            elif not in_talkspurt[tid]:
-                if to_release is None:
-                    to_release = []
-                to_release.append(tid)
-        if to_release is not None:
-            for tid in to_release:
-                reservations.release(tid)
-                self._holders.remove(tid)
-                self._holders_set.discard(tid)
+        occ_list = self._occupancy_list()
+        reserved = self._csi_holders(occ_list)
 
         # Request phase: the kernel's contention call draws directly from
-        # the contention stream (the runner's uniform pool never opens
-        # during a CSI-scheduled frame, so nothing can interleave).  A
-        # quiet pool short-circuits to the kernel's own empty-input result
-        # — no draw, every minislot idle — without paying the call.
+        # the contention stream (a runner stepping alone never opens its
+        # uniform pool during a CSI-scheduled frame, so nothing can
+        # interleave).  A quiet pool short-circuits to the kernel's own
+        # empty-input result — no draw, every minislot idle — without
+        # paying the call.
         if self._cand_ids:
             contention = run_contention_ids(
                 self._cand_ids,
@@ -957,60 +953,135 @@ class MacroRunner:
                 fast=protocol.rng_fast,
             )
             winner_ids = contention.winner_ids
-            attempts = contention.attempts
-            collisions = contention.collisions
-            idle_slots = contention.idle_slots
+            record_index = self._open_record(
+                drops, contention.attempts, contention.collisions,
+                contention.idle_slots,
+            )
         else:
             winner_ids = []
-            attempts = collisions = 0
-            idle_slots = self._request_minislots
+            record_index = self._open_record(drops, idle=self._request_minislots)
             m = _metrics.METRICS
             if m.enabled:
-                m.inc("contention.rounds", idle_slots)
+                m.inc("contention.rounds", self._request_minislots)
 
-        record_index = len(self._records)
-        record = [attempts, collisions, idle_slots, 0, 0, 0, 0]
+        all_ids = reserved + winner_ids if winner_ids else reserved
+        if all_ids:
+            tid_arr = np.asarray(all_ids, dtype=np.int64)
+            estimates = self._csi_estimates(
+                snapshot.amplitude[tid_arr],
+                self._csi_noise(len(reserved), len(all_ids)),
+            )
+            head = self.population.head_created[tid_arr]
+            order, per_slot, throughput, horizon = self._csi_rank(
+                estimates, tid_arr, head, frame
+            )
+            self._csi_allocate(
+                frame, snapshot, occ_list, record_index, reserved, winner_ids,
+                all_ids, 0, order.tolist(), per_slot.tolist(),
+                throughput.tolist(), head, horizon, estimates,
+            )
+        if clock:
+            clock.stop()
+
+    def _occupancy_list(self):
+        """Buffer occupancy for the frame's many scalar reads.
+
+        Small populations: one bulk tolist beats the dozens of scalar reads
+        the holder/winner loops make; large ones read just the few entries
+        they need straight from the array.
+        """
+        occupancy = self.population.occupancy
+        return occupancy.tolist() if occupancy.shape[0] <= 256 else occupancy
+
+    def _open_record(
+        self, drops, attempts=0, collisions=0, idle=0, allocated=0, queued=0
+    ) -> int:
+        """Append the frame's statistics record; return its index.
+
+        A record is ``[attempts, collisions, idle, allocated, queued,
+        data_delivered, voice_losses]``; the flushes add the last two.
+        """
+        record = [attempts, collisions, idle, allocated, queued, 0, 0]
         if drops:
             counted = 0
             for _tid, _dropped, in_window in drops:
                 counted += in_window
             record[6] = counted
         self._records.append(record)
+        return len(self._records) - 1
 
-        n_reserved = len(reserved)
-        all_ids = reserved + winner_ids if winner_ids else reserved
-        n_pending = len(all_ids)
-        if n_pending == 0:
-            if clock:
-                clock.stop()
-            return
+    def _csi_holders(self, occ_list) -> List[int]:
+        """Reservation release + the holders' auto-generated requests.
 
-        # CSI estimation of holders + winners (rows in that order).
-        tid_arr = np.asarray(all_ids, dtype=np.int64)
-        amplitudes = snapshot.amplitude[tid_arr]
+        Returns the holders with packets in ascending id — the
+        ``reserved_ids`` order.
+        """
+        reserved: List[int] = []
+        to_release = None
+        in_talkspurt = self.population.in_talkspurt
+        for tid in self._holders:
+            if occ_list[tid] > 0:
+                reserved.append(tid)
+            elif not in_talkspurt[tid]:
+                if to_release is None:
+                    to_release = []
+                to_release.append(tid)
+        if to_release is not None:
+            reservations = self.protocol.reservations
+            for tid in to_release:
+                reservations.release(tid)
+                self._holders.remove(tid)
+                self._holders_set.discard(tid)
+        return reserved
+
+    def _csi_noise(self, n_reserved: int, n_pending: int):
+        """The frame's CSI estimation noise, or ``None`` without noise.
+
+        A list of arrays whose concatenation lines up with the pending rows
+        (holders, then winners).  In fast mode it is one slice of standard
+        normals prefetched per block from the dedicated estimation stream.
+        In parity mode it is the kernel's two live ``normal`` draws from
+        the shared MAC stream, in the kernel's ``estimate_amplitudes``
+        order — the winners' first, then the holders'.
+        """
         std = self._csi_std
         if std == 0.0:
-            estimates = amplitudes
-        elif self._csi_pool is not None:
-            estimates = amplitudes + std * self._csi_pool.take(n_pending)
-            np.maximum(estimates, 0.0, out=estimates)
-        else:
-            noise = np.empty(n_pending)
-            if n_pending > n_reserved:
-                # Parity: the kernel's estimate_amplitudes order — the
-                # winners' normal(scale=std, size=k) first, ...
-                # lint: allow[KRN001]
-                noise[n_reserved:] = self._csi_rng.normal(
-                    scale=std, size=n_pending - n_reserved
-                )
-            if n_reserved:
-                # ... then the holders'.
-                # lint: allow[KRN001]
-                noise[:n_reserved] = self._csi_rng.normal(
-                    scale=std, size=n_reserved
-                )
-            estimates = np.maximum(0.0, amplitudes + noise)
+            return None
+        if self._csi_pool is not None:
+            return [self._csi_pool.take(n_pending)]
+        winners = None
+        if n_pending > n_reserved:
+            # lint: allow[KRN001]
+            winners = self._csi_rng.normal(scale=std, size=n_pending - n_reserved)
+        parts = []
+        if n_reserved:
+            # lint: allow[KRN001]
+            parts.append(self._csi_rng.normal(scale=std, size=n_reserved))
+        if winners is not None:
+            parts.append(winners)
+        return parts
 
+    def _csi_estimates(self, amplitudes, noise):
+        """Amplitude estimates from true amplitudes and :meth:`_csi_noise`
+        parts — exactly the values ``estimate_amplitudes`` produces."""
+        if noise is None:
+            return amplitudes
+        noise = noise[0] if len(noise) == 1 else np.concatenate(noise)
+        if self._csi_pool is not None:
+            estimates = amplitudes + self._csi_std * noise
+            np.maximum(estimates, 0.0, out=estimates)
+            return estimates
+        return np.maximum(0.0, amplitudes + noise)
+
+    def _csi_rank(self, estimates, tid_arr, head, frame, beams=None):
+        """Mode lookup, priority metric and ranking of the pending rows.
+
+        Returns ``(order, packets_per_slot, throughput, horizon)``.  With
+        ``beams`` (the rows' group positions, ascending) the rows of
+        several beams rank in one stable sort keyed on (beam, −priority),
+        which orders each beam's rows exactly like its own stable
+        ``argsort`` and keeps the beams in group order.
+        """
         # Mode lookup, inline: ``searchsorted(thresholds) - 1`` is the mode
         # index and the capacity LUTs are addressed at ``index + 1``, so the
         # raw searchsorted count is itself the LUT row.  Estimates of 0.0
@@ -1027,8 +1098,7 @@ class MacroRunner:
         # an integer in [0, deadline], served from the pow() LUT.  The
         # term-by-term composition (weighted + urgency + offset) matches
         # ``priorities_columns`` float for float.
-        voice = tid_arr < nv
-        head = population.head_created[tid_arr]
+        voice = tid_arr < self._nv
         horizon = np.maximum(0, head + (self._csi_vdl - frame))
         urgency = np.where(voice, self._csi_urg_lut[horizon], 0.0)
         alpha_voice, alpha_data = self._csi_alpha
@@ -1038,7 +1108,31 @@ class MacroRunner:
             weighted = np.where(voice, alpha_voice, alpha_data) * throughput
         offset = np.where(voice, self._csi_voffset, 0.0)
         values = weighted + urgency + offset
-        order = np.argsort(-values, kind="stable")
+        if beams is None:
+            order = np.argsort(-values, kind="stable")
+        else:
+            order = np.lexsort((-values, beams))
+        return order, per_slot, throughput, horizon
+
+    def _csi_allocate(
+        self, frame, snapshot, occ_list, record_index, reserved, winner_ids,
+        all_ids, base, rows, per_list, thr_list, head, horizon, estimates,
+    ) -> None:
+        """Ranked allocation walk, grants and PHY rows of one CSI frame.
+
+        ``rows`` are this frame's pending rows in rank order, numbered from
+        ``base`` (the frame's first row within a lockstep group's stacked
+        rows, else 0); ``per_list``, ``thr_list``, ``head``, ``horizon``
+        and ``estimates`` are indexed by those numbers, ``all_ids`` from 0.
+        Voice grants defer their PHY outcome to the block flush; frames
+        with data grants flush before the next frame because data outcomes
+        feed back into buffer state.
+        """
+        protocol = self.protocol
+        population = self.population
+        queue = protocol.request_queue
+        reservations = protocol.reservations
+        nv = self._nv
 
         # Ranked allocation walk, inline: decision-for-decision the
         # allocator's ``allocate_columns`` over the same ranked rows
@@ -1047,21 +1141,19 @@ class MacroRunner:
         # escapes at the most robust mode).
         slots_left = self._csi_slots
         margin = self._csi_margin
-        per_list = per_slot.tolist()
-        thr_list = throughput.tolist()
         g_tids: List[int] = []
         g_nslots: List[int] = []
         g_caps: List[int] = []
         g_thrs: List[float] = []
         unserved_rows: List[int] = []
         deferred_rows: List[int] = []
-        for row in order.tolist():
-            tid = all_ids[row]
+        for row in rows:
+            tid = all_ids[row - base]
             occupancy = occ_list[tid]
             if occupancy == 0:
                 continue
             if slots_left <= 0:
-                unserved_rows.append(row)
+                unserved_rows.append(row - base)
                 continue
             packets = per_list[row]
             mode_throughput = thr_list[row]
@@ -1069,7 +1161,7 @@ class MacroRunner:
                 if tid < nv and head[row] >= 0 and horizon[row] <= margin:
                     packets, mode_throughput = 1, self._csi_lowest_thr
                 else:
-                    deferred_rows.append(row)
+                    deferred_rows.append(row - base)
                     continue
             if tid < nv:
                 n_slots = 1
@@ -1088,6 +1180,8 @@ class MacroRunner:
 
         # Newly served voice winners acquire a reservation; only rows
         # after the reservation-holder prefix can be newly served.
+        n_reserved = len(reserved)
+        n_pending = len(all_ids)
         if g_tids and n_pending > n_reserved:
             allocated_ids = set(g_tids)
             for position in range(n_reserved, n_pending):
@@ -1103,12 +1197,13 @@ class MacroRunner:
         # only on this rare path — the common all-served frame never builds
         # it.  Queueing flips the candidate rule, so the mirrors
         # resynchronise once the queue drains.
+        record = self._records[record_index]
         if (unserved_rows or deferred_rows) and queue is not None:
             pending = protocol._pending_columns(
                 population,
                 np.asarray(reserved, dtype=np.int64),
                 np.asarray(winner_ids, dtype=np.int64),
-                estimates,
+                estimates[base : base + n_pending],
                 frame,
             )
             if protocol.queue_unserved_rows(
@@ -1120,46 +1215,44 @@ class MacroRunner:
         # Execute the grants: deterministic voice pops now, one deferred
         # Bernoulli resolution per flush, rows in grant (priority) order —
         # exactly the engine executor's element order.
+        if not g_tids:
+            return
+        record[3] = sum(g_nslots)
+        chan_src = snapshot.snr_db if self._reuse_snr else snapshot.amplitude
+        phy_rec = self._phy_rec
+        phy_tids = self._phy_tids
+        phy_counts = self._phy_counts
+        phy_aux = self._phy_aux
+        phy_voice = self._phy_voice
+        phy_frames = self._phy_frames
+        phy_chans = self._phy_chans
+        phy_thrs = self._phy_thrs
+        pop_voice = population.transmit_voice_pop
         any_data = False
-        if g_tids:
-            record[3] = sum(g_nslots)
-            chan_src = snapshot.snr_db if self._reuse_snr else snapshot.amplitude
-            phy_rec = self._phy_rec
-            phy_tids = self._phy_tids
-            phy_counts = self._phy_counts
-            phy_aux = self._phy_aux
-            phy_voice = self._phy_voice
-            phy_frames = self._phy_frames
-            phy_chans = self._phy_chans
-            phy_thrs = self._phy_thrs
-            pop_voice = population.transmit_voice_pop
-            for position, tid in enumerate(g_tids):
-                capacity = g_caps[position]
-                phy_rec.append(record_index)
-                phy_tids.append(tid)
-                if tid < nv:
-                    n_transmitted, pre_window = pop_voice(tid, capacity)
-                    phy_counts.append(n_transmitted)
-                    phy_aux.append(pre_window)
-                    phy_voice.append(True)
-                else:
-                    any_data = True
-                    occupancy = int(occ_list[tid])
-                    phy_counts.append(
-                        capacity if capacity < occupancy else occupancy
-                    )
-                    phy_aux.append(capacity)
-                    phy_voice.append(False)
-                phy_frames.append(frame)
-                phy_chans.append(float(chan_src[tid]))
-                phy_thrs.append(g_thrs[position])
-        if clock:
-            clock.stop()
-
+        for position, tid in enumerate(g_tids):
+            capacity = g_caps[position]
+            phy_rec.append(record_index)
+            phy_tids.append(tid)
+            if tid < nv:
+                n_transmitted, pre_window = pop_voice(tid, capacity)
+                phy_counts.append(n_transmitted)
+                phy_aux.append(pre_window)
+                phy_voice.append(True)
+            else:
+                any_data = True
+                occupancy = int(occ_list[tid])
+                phy_counts.append(
+                    capacity if capacity < occupancy else occupancy
+                )
+                phy_aux.append(capacity)
+                phy_voice.append(False)
+            phy_frames.append(frame)
+            phy_chans.append(float(chan_src[tid]))
+            phy_thrs.append(g_thrs[position])
         if any_data:
             # Data outcomes feed back into buffer state, so the next
             # frame's decisions need them resolved.
-            self._flush_phy(clock)
+            self._flush_due = True
 
     # ------------------------------------------------------- fallback frame
     def _fallback_frame(self, frame, snapshot, drops, clock, reason) -> None:
@@ -1206,60 +1299,14 @@ class MacroRunner:
         self._mirrors_dirty = True
 
     # ------------------------------------------------------------- plumbing
-    @kernel
     def _flush_phy(self, clock) -> None:
         """Resolve all deferred transmissions in one batched PHY draw."""
-        if not self._phy_tids:
-            return
-        if clock:
-            clock.start("phy")
-        counts = np.asarray(self._phy_counts, dtype=np.int64)
-        chans = np.asarray(self._phy_chans, dtype=float)
-        throughputs = (
-            np.asarray(self._phy_thrs, dtype=float) if self._adaptive else None
-        )
-        delivered = self.error_model.transmit_batch(
-            None if self._reuse_snr else chans,
-            counts,
-            throughputs,
-            snr_db=chans if self._reuse_snr else None,
-        )
-        population = self.population
-        records = self._records
-        is_voice = np.asarray(self._phy_voice, dtype=bool)
-        n_voice_rows = int(is_voice.sum())
-        if n_voice_rows:
-            # All deferred voice rows resolve through one accel pass —
-            # per-row arithmetic and per-terminal accumulation fused; only
-            # the (rare) errored rows loop back for record attribution.
-            voice_rows = (
-                np.arange(is_voice.shape[0])
-                if n_voice_rows == is_voice.shape[0]
-                else np.nonzero(is_voice)[0]
-            )
-            tids = np.asarray(self._phy_tids, dtype=np.int64)
-            aux = np.asarray(self._phy_aux, dtype=np.int64)
-            errored_rows, errors = population.resolve_voice_outcomes(
-                tids[voice_rows],
-                counts[voice_rows],
-                aux[voice_rows],
-                delivered[voice_rows],
-            )
-            phy_rec = self._phy_rec
-            for k in errored_rows.tolist():
-                records[phy_rec[int(voice_rows[k])]][6] += int(errors[k])
-        if n_voice_rows < is_voice.shape[0]:
-            occupancy = population.occupancy
-            mirrors_ok = not self._mirrors_dirty
-            transmit = population.transmit
-            delivered_list = delivered.tolist()
-            for j in np.nonzero(~is_voice)[0].tolist():
-                tid = self._phy_tids[j]
-                n_delivered = delivered_list[j]
-                transmit(tid, self._phy_aux[j], n_delivered, self._phy_frames[j])
-                records[self._phy_rec[j]][5] += n_delivered
-                if mirrors_ok and n_delivered and occupancy[tid] == 0:
-                    self._discard_candidate(tid)
+        if self._phy_tids:
+            _flush_runners([self], clock)
+        else:
+            self._flush_due = False
+
+    def _clear_phy(self) -> None:
         self._phy_rec.clear()
         self._phy_tids.clear()
         self._phy_counts.clear()
@@ -1268,8 +1315,7 @@ class MacroRunner:
         self._phy_frames.clear()
         self._phy_chans.clear()
         self._phy_thrs.clear()
-        if clock:
-            clock.stop()
+        self._flush_due = False
 
     def _commit_records(self, clock) -> None:
         if not self._records:
@@ -1345,3 +1391,374 @@ class MacroRunner:
             del ids[index]
             del self._cand_probs[index]
             self._cand_probs_arr = None
+
+
+class LockstepGroup:
+    """Advances same-protocol engines frame by frame through shared blocks.
+
+    The engines of a group — the beams one constellation shard thread
+    steps — are independent cells with equal scenarios: each keeps its
+    own population, channel, MAC state and random streams.  Instead of
+    running each engine's :class:`MacroRunner` block on its own, the group
+    walks all of them through one block together, frame by frame, so the
+    per-frame vector work that every beam repeats on a few rows runs once
+    for the group on the stacked rows:
+
+    * CSI-scheduled (CHARISMA) frames rank every beam's pending requests
+      in one pass — CSI estimate, mode lookup, priority metric and a
+      stable sort keyed on (beam, −priority), which orders each beam's rows
+      exactly like its own stable ``argsort``;
+    * fast-mode matrix contention compares every beam's draws with its
+      permission probabilities, and counts each minislot's transmitters,
+      in one pass over the side-by-side draw matrices;
+    * the data flushes that end a frame, and the voice flush that ends the
+      block, are one :meth:`~repro.phy.error_model.PacketErrorModel.
+      transmit_batch` call whose rows draw from each beam's own error
+      stream.
+
+    Everything that draws randomness stays per beam and in each beam's own
+    order, so every stream is consumed exactly as by per-engine stepping;
+    so do the holder loops, allocation walks and grants, the block's
+    traffic plan and the channel's block advance.  A beam that cannot run
+    a frame inline falls back to its protocol's ``run_frame_batch`` for
+    that frame only.  Results are bit-identical to advancing each engine
+    with :meth:`~repro.sim.engine.UplinkSimulationEngine.run_frames`.
+    """
+
+    #: Prefetch chunk of the group's random pools.  Every beam's pools
+    #: stay open through a whole block, so a 100-beam group at the
+    #: single-runner chunk of 4096 doubles would hold 6.4 MB of prefetched
+    #: draws; a 100-terminal beam consumes ~2,600 contention uniforms and
+    #: ~600 CSI normals per 64-frame block.
+    POOL_CHUNK = 1024
+
+    def __init__(self, engines) -> None:
+        self.engines = list(engines)
+        if not self.engines:
+            raise ValueError("a lockstep group needs at least one engine")
+        scenario = self.engines[0].scenario
+        for engine in self.engines[1:]:
+            if engine.scenario != scenario:
+                raise ValueError("lockstep engines must share one scenario")
+
+    def run_frames(self, n_frames: int) -> None:
+        """Advance every engine by ``n_frames`` frames.
+
+        The frames split into the blocks each engine's own
+        :meth:`~repro.sim.engine.UplinkSimulationEngine.run_frames` would
+        use; where that is per-frame stepping, each engine steps alone.
+        """
+        if n_frames <= 0:
+            return
+        engines = self.engines
+        block_size = engines[0].macro_block_size(n_frames)
+        if block_size <= 1:
+            for engine in engines:
+                engine.run_frames(n_frames)
+            return
+        runners = []
+        for engine in engines:
+            engine.refresh_instrumentation()
+            runner = engine._macro_runner()
+            runner._pool.chunk = self.POOL_CHUNK
+            if runner._csi_pool is not None:
+                runner._csi_pool.chunk = self.POOL_CHUNK
+            runners.append(runner)
+        remaining = n_frames
+        while remaining > 0:
+            block = block_size if block_size < remaining else remaining
+            self._run_block(runners, block)
+            remaining -= block
+
+    def _run_block(self, runners, n_frames: int) -> None:
+        heads = [runner._begin_block(n_frames) for runner in runners]
+        start = heads[0][3]
+        if any(head[3] != start for head in heads):
+            raise RuntimeError("lockstep engines are not at the same frame")
+        clock = heads[0][1]
+        lead = runners[0]
+        csi = lead._supported and lead._style == "csi_schedule"
+        for offset in range(n_frames):
+            frame = start + offset
+            if csi:
+                self._csi_frame(runners, heads, offset, frame, clock)
+            else:
+                for runner, (engine, beam_clock, plan, _) in zip(runners, heads):
+                    snapshot, drops = runner._frame_prologue(
+                        engine, plan, frame, beam_clock
+                    )
+                    reason = runner._fast_frame(
+                        plan, offset, frame, snapshot, drops, beam_clock
+                    )
+                    if reason is not None:
+                        runner._fallback_frame(
+                            frame, snapshot, drops, beam_clock, reason
+                        )
+            due = [runner for runner in runners if runner._flush_due]
+            if due:
+                _flush_runners(due, clock)
+            for engine, _, _, _ in heads:
+                engine._frame_index = frame + 1
+        deferred = [runner for runner in runners if runner._phy_tids]
+        if deferred:
+            _flush_runners(deferred, clock)
+        for runner, (engine, beam_clock, _, _) in zip(runners, heads):
+            runner._finish_block(engine, beam_clock)
+
+    @staticmethod
+    def _csi_frame(runners, heads, offset, frame, clock) -> None:
+        """One CSI-scheduled frame of every beam, ranked in one pass."""
+        live = []
+        for runner, (engine, beam_clock, plan, _) in zip(runners, heads):
+            snapshot, drops = runner._frame_prologue(engine, plan, frame, beam_clock)
+            reason = runner._prepare_frame(plan, offset, frame, drops)
+            if reason is not None:
+                runner._fallback_frame(frame, snapshot, drops, beam_clock, reason)
+                continue
+            live.append((runner, snapshot, drops))
+        if not live:
+            return
+        if clock:
+            clock.start("mac")
+        occ_lists = []
+        reserved_lists = []
+        for runner, _, _ in live:
+            occ_list = runner._occupancy_list()
+            occ_lists.append(occ_list)
+            reserved_lists.append(runner._csi_holders(occ_list))
+        contentions = _group_contention([runner for runner, _, _ in live])
+
+        # Stack the pending rows (holders, then winners) of every beam with
+        # requests, drawing each beam's estimation noise in its own order.
+        lead = live[0][0]
+        pending = []
+        tids: List[int] = []
+        sizes: List[int] = []
+        noise: Optional[list] = [] if lead._csi_std != 0.0 else None
+        amplitudes = []
+        heads_created = []
+        for (runner, snapshot, drops), occ_list, reserved, contention in zip(
+            live, occ_lists, reserved_lists, contentions
+        ):
+            winner_ids, attempts, collisions, idle = contention
+            record_index = runner._open_record(drops, attempts, collisions, idle)
+            all_ids = reserved + winner_ids if winner_ids else reserved
+            if not all_ids:
+                continue
+            pending.append((runner, snapshot, occ_list, record_index, reserved,
+                            winner_ids, all_ids))
+            tids += all_ids
+            sizes.append(len(all_ids))
+            parts = runner._csi_noise(len(reserved), len(all_ids))
+            if parts is not None:
+                noise.extend(parts)
+            amplitudes.append(snapshot.amplitude)
+            heads_created.append(runner.population.head_created)
+        if pending:
+            tid_arr = np.asarray(tids, dtype=np.int64)
+            beams = np.repeat(np.arange(len(sizes)), sizes)
+            flat = tid_arr + beams * amplitudes[0].shape[0]
+            estimates = lead._csi_estimates(
+                np.concatenate(amplitudes)[flat], noise
+            )
+            head = np.concatenate(heads_created)[flat]
+            order, per_slot, throughput, horizon = lead._csi_rank(
+                estimates, tid_arr, head, frame, beams
+            )
+            order_list = order.tolist()
+            per_list = per_slot.tolist()
+            thr_list = throughput.tolist()
+            base = 0
+            for (runner, snapshot, occ_list, record_index, reserved,
+                 winner_ids, all_ids) in pending:
+                stop = base + len(all_ids)
+                runner._csi_allocate(
+                    frame, snapshot, occ_list, record_index, reserved,
+                    winner_ids, all_ids, base, order_list[base:stop],
+                    per_list, thr_list, head, horizon, estimates,
+                )
+                base = stop
+        if clock:
+            clock.stop()
+
+
+def _group_contention(runners):
+    """Every beam's CSI-frame request phase: ``(winners, attempts,
+    collisions, idle)`` per runner.
+
+    Each beam draws from its own contention stream, in its own kernel's
+    order.  Fast mode's whole-phase matrix draws come from each beam's
+    prefetched :class:`RandomPool` (fast mode's contention stream serves
+    nothing else during the frame) and are compared with the permission
+    probabilities, and summed per minislot, side by side in one pass; the
+    per-minislot winner bookkeeping then runs per beam over its own
+    columns.
+    """
+    lead = runners[0]
+    n_minislots = lead._request_minislots
+    fast = lead.protocol.rng_fast and n_minislots >= MATRIX_MIN_MINISLOTS
+    outcomes: List = [None] * len(runners)
+    contending = []
+    quiet = 0
+    for index, runner in enumerate(runners):
+        if not runner._cand_ids:
+            outcomes[index] = ([], 0, 0, n_minislots)
+            quiet += 1
+        elif fast:
+            contending.append(index)
+        else:
+            result = run_contention_ids(
+                runner._cand_ids,
+                runner._candidate_probs(),
+                n_minislots,
+                runner.protocol.contention_rng,
+                fast=runner.protocol.rng_fast,
+            )
+            outcomes[index] = (result.winner_ids, result.attempts,
+                               result.collisions, result.idle_slots)
+    m = _metrics.METRICS
+    if m.enabled:
+        m.inc("contention.rounds", n_minislots * (quiet + len(contending)))
+    if not contending:
+        return outcomes
+    draws = []
+    probs = []
+    starts = []
+    width = 0
+    for index in contending:
+        runner = runners[index]
+        k = len(runner._cand_ids)
+        starts.append(width)
+        width += k
+        # The kernel's whole-phase ``random((n_minislots, k))`` draw, served
+        # from the beam's prefetched pool over its own contention stream:
+        # the same doubles in the same order, and the pool leaves the
+        # stream exactly where the direct draws would.
+        draws.append(runner._pool.take(n_minislots * k).reshape(n_minislots, k))
+        probs.append(runner._candidate_probs())
+    transmitting = np.concatenate(draws, axis=1) < np.concatenate(probs)
+    counts = np.add.reduceat(transmitting, starts, axis=1, dtype=np.int64)
+    counts_lists = counts.T.tolist()
+    starts.append(width)
+    for column, index in enumerate(contending):
+        result = IndexContentionResult()
+        resolve_transmissions(
+            runners[index]._cand_ids,
+            transmitting[:, starts[column] : starts[column + 1]].tolist(),
+            counts_lists[column],
+            result,
+        )
+        outcomes[index] = (result.winner_ids, result.attempts,
+                           result.collisions, result.idle_slots)
+    return outcomes
+
+
+@kernel
+def _flush_runners(runners, clock) -> None:
+    """Resolve the deferred transmissions of one or more runners at once.
+
+    One :meth:`~repro.phy.error_model.PacketErrorModel.transmit_batch`
+    call evaluates every row's success probability; each runner's rows
+    draw from its own error stream, in its own row order, so every stream
+    is consumed exactly as by the runner's own flush.  Voice outcomes then
+    resolve in one accel pass over all the runners' rows; data rows feed
+    their outcomes back into buffer state one by one.
+    """
+    if clock:
+        clock.start("phy")
+    lead = runners[0]
+    if len(runners) == 1:
+        tids, counts, chans = lead._phy_tids, lead._phy_counts, lead._phy_chans
+        thrs, aux, voice = lead._phy_thrs, lead._phy_aux, lead._phy_voice
+        stops = [len(tids)]
+        streams = None
+    else:
+        tids, counts, chans, thrs, aux, voice = [], [], [], [], [], []
+        stops = []
+        streams = []
+        for runner in runners:
+            tids += runner._phy_tids
+            counts += runner._phy_counts
+            chans += runner._phy_chans
+            thrs += runner._phy_thrs
+            aux += runner._phy_aux
+            voice += runner._phy_voice
+            stops.append(len(tids))
+            streams.append((runner.error_model.rng, len(tids)))
+    counts_arr = np.asarray(counts, dtype=np.int64)
+    chans_arr = np.asarray(chans, dtype=float)
+    delivered = lead.error_model.transmit_batch(
+        None if lead._reuse_snr else chans_arr,
+        counts_arr,
+        np.asarray(thrs, dtype=float) if lead._adaptive else None,
+        snr_db=chans_arr if lead._reuse_snr else None,
+        streams=streams,
+    )
+
+    is_voice = np.asarray(voice, dtype=bool)
+    n_voice_rows = int(np.count_nonzero(is_voice))
+    if n_voice_rows:
+        # All deferred voice rows resolve through one accel pass —
+        # per-row arithmetic and per-terminal accumulation fused; only the
+        # (rare) errored rows loop back for record attribution.
+        voice_rows = (
+            np.arange(is_voice.shape[0])
+            if n_voice_rows == is_voice.shape[0]
+            else np.nonzero(is_voice)[0]
+        )
+        tid_arr = np.asarray(tids, dtype=np.int64)[voice_rows]
+        aux_arr = np.asarray(aux, dtype=np.int64)[voice_rows]
+        if streams is None:
+            errored_rows, errors = lead.population.resolve_voice_outcomes(
+                tid_arr, counts_arr[voice_rows], aux_arr, delivered[voice_rows]
+            )
+        else:
+            # Stacked cells: offset each runner's terminal ids into its own
+            # slice of one accumulator, then hand every population its
+            # slice.
+            size = len(lead.population)
+            owner = np.searchsorted(stops, voice_rows, side="right")
+            delivered_totals, errored_totals, errored_rows, errors = (
+                voice_flush_resolve(
+                    tid_arr + owner * size, counts_arr[voice_rows], aux_arr,
+                    delivered[voice_rows], size * len(runners),
+                )
+            )
+            for k, runner in enumerate(runners):
+                runner.population.add_voice_outcomes(
+                    delivered_totals[k * size : (k + 1) * size],
+                    errored_totals[k * size : (k + 1) * size],
+                )
+        for k in errored_rows.tolist():
+            row = int(voice_rows[k])
+            index = bisect_right(stops, row)
+            runner = runners[index]
+            local = row - (stops[index - 1] if index else 0)
+            runner._records[runner._phy_rec[local]][6] += int(errors[k])
+    if n_voice_rows < is_voice.shape[0]:
+        delivered_list = delivered.tolist()
+        data_rows = np.nonzero(~is_voice)[0].tolist()
+        index = 0
+        start = 0
+        runner = runners[0]
+        for row in data_rows:
+            while row >= stops[index]:
+                start = stops[index]
+                index += 1
+                runner = runners[index]
+            local = row - start
+            tid = runner._phy_tids[local]
+            n_delivered = delivered_list[row]
+            population = runner.population
+            population.transmit(
+                tid, runner._phy_aux[local], n_delivered,
+                runner._phy_frames[local],
+            )
+            runner._records[runner._phy_rec[local]][5] += n_delivered
+            if (n_delivered and not runner._mirrors_dirty
+                    and population.occupancy[tid] == 0):
+                runner._discard_candidate(tid)
+    for runner in runners:
+        runner._clear_phy()
+    if clock:
+        clock.stop()

@@ -63,19 +63,3 @@ class Packet:
             raise ValueError("voice packets must carry a deadline")
         if self.deadline_frame is not None and self.deadline_frame <= self.created_frame:
             raise ValueError("deadline_frame must exceed created_frame")
-
-    def is_expired(self, current_frame: int) -> bool:
-        """Whether the packet's deadline has passed by ``current_frame``."""
-        if self.deadline_frame is None:
-            return False
-        return current_frame >= self.deadline_frame
-
-    def frames_to_deadline(self, current_frame: int) -> Optional[int]:
-        """Frames remaining before expiry (``None`` for data packets)."""
-        if self.deadline_frame is None:
-            return None
-        return max(0, self.deadline_frame - current_frame)
-
-    def waiting_frames(self, current_frame: int) -> int:
-        """Frames the packet has spent in the buffer so far."""
-        return max(0, current_frame - self.created_frame)

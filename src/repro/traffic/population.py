@@ -797,10 +797,21 @@ class TerminalPopulation:
             terminal_ids, counts, pre_window, delivered,
             self.occupancy.shape[0],
         )
+        self.add_voice_outcomes(delivered_totals, errored_totals)
+        return rows, errors
+
+    def add_voice_outcomes(
+        self, delivered_totals: np.ndarray, errored_totals: np.ndarray
+    ) -> None:
+        """Add per-terminal in-window delivered/errored voice packet totals.
+
+        The accumulation half of :meth:`resolve_voice_outcomes`, for a
+        caller that resolved the rows of several populations in one
+        stacked pass.
+        """
         self.voice_delivered += delivered_totals
         self.voice_errored += errored_totals
         self._voice_loss_total += int(errored_totals.sum())
-        return rows, errors
 
     def drop_expired(self, current_frame: int) -> int:
         """Drop buffered voice packets whose 20 ms deadline has passed.

@@ -48,20 +48,3 @@ def test_workers_env_override(monkeypatch):
     monkeypatch.setenv(WORKERS_ENV, "64")
     assert resolve_workers(UNCOUPLED) == UNCOUPLED.n_beams
 
-
-def test_lpt_assignment_is_deterministic_and_balanced():
-    import numpy as np
-
-    from repro.constellation import lpt_assign
-
-    costs = np.array([5.0, 1.0, 1.0, 1.0, 1.0, 1.0])
-    assignment = lpt_assign(costs, 2)
-    assert assignment.shape == (6,)
-    # The expensive shard sits alone-ish: its worker's total (5) exceeds
-    # the other's (5 × 1) by no more than one small shard.
-    totals = [float(costs[assignment == w].sum()) for w in (0, 1)]
-    assert abs(totals[0] - totals[1]) <= 1.0
-    repeat = lpt_assign(costs, 2)
-    assert (assignment == repeat).all()
-    # Single worker: everything on worker 0.
-    assert (lpt_assign(costs, 1) == 0).all()

@@ -12,7 +12,7 @@ produce.
 Refresh the file only deliberately, and record every refresh in
 ``CHANGES.md``::
 
-    UPDATE_BASELINES=1 python -m pytest tests/constellation/test_golden_digests.py
+    UPDATE_BASELINES=1 python -m pytest tests/constellation/test_golden_digests_constellation.py
 """
 
 import dataclasses

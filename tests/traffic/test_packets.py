@@ -29,24 +29,6 @@ class TestPacket:
         with pytest.raises(ValueError):
             Packet(kind=TrafficKind.DATA, terminal_id=0, created_frame=-1)
 
-    def test_voice_expiry(self):
-        p = Packet(kind=TrafficKind.VOICE, terminal_id=0, created_frame=10,
-                   deadline_frame=18)
-        assert not p.is_expired(17)
-        assert p.is_expired(18)
-        assert p.frames_to_deadline(12) == 6
-        assert p.frames_to_deadline(30) == 0
-
-    def test_data_never_expires(self):
-        p = Packet(kind=TrafficKind.DATA, terminal_id=1, created_frame=0)
-        assert not p.is_expired(10_000)
-        assert p.frames_to_deadline(10_000) is None
-
-    def test_waiting_frames(self):
-        p = Packet(kind=TrafficKind.DATA, terminal_id=1, created_frame=7)
-        assert p.waiting_frames(7) == 0
-        assert p.waiting_frames(20) == 13
-
     def test_sequence_monotone(self):
         a = Packet(kind=TrafficKind.DATA, terminal_id=0, created_frame=0)
         b = Packet(kind=TrafficKind.DATA, terminal_id=0, created_frame=0)
