@@ -368,9 +368,9 @@ class UplinkSimulationEngine:
         """Point :attr:`_clock` at the current phase timing / tracer state.
 
         The macro runner reads ``self._clock`` directly (it brackets its
-        own block-level sections), so block drivers refresh it before each
-        run of blocks — including dropping a recorder whose tracer has
-        been uninstalled.
+        own block-level sections), so every caller that steps blocks
+        refreshes it before each run of blocks — including dropping a
+        recorder whose tracer has been uninstalled.
         """
         if self.phase_times is not None or _obs_trace.TRACER is not None:
             self._ensure_instrumented()
